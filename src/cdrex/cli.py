@@ -22,6 +22,7 @@ import dataclasses
 import logging
 import os
 import sys
+from typing import Any, Callable
 
 import numpy as np
 
@@ -42,42 +43,6 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclasses.dataclass
-class RunConfig:
-    command: str
-    train: str | None = None
-    dev: str | None = None
-    test: str | None = None
-    emb: str | None = None
-    model_in: str | None = None
-    model_out: str | None = None
-    report: str | None = None
-    variant: str = "cnn"
-    learning_rate: float = 1e-4
-    filters: int = 100
-    dropout: float = 0.5
-    epochs: int = 50
-    batch_size: int = 32
-    seed: int = 1
-    debug_numerics: bool = False
-    compare: str | None = None
-    oracle: bool = False
-    grid_lambdas: tuple[float, ...] = optim.GRID_LEARNING_RATES
-    grid_filters: tuple[int, ...] = optim.GRID_FILTERS
-    grid_dropouts: tuple[float, ...] = optim.GRID_DROPOUTS
-
-
-_PATH_KEYS = ("train", "dev", "test", "emb", "model_in", "compare")
-
-_FILE_KEYS = {
-    "train": str, "dev": str, "test": str, "emb": str, "model_in": str,
-    "model_out": str, "report": str, "variant": str, "lambda": float,
-    "filters": int, "dropout": float, "epochs": int, "batch_size": int,
-    "seed": int, "debug_numerics": bool, "compare": str, "oracle": bool,
-    "grid_lambdas": "floats", "grid_filters": "ints", "grid_dropouts": "floats",
-}
-
-
 def _parse_bool(raw: str) -> bool:
     if raw.lower() in ("1", "true", "yes", "on"):
         return True
@@ -86,8 +51,75 @@ def _parse_bool(raw: str) -> bool:
     raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in raw.split(","))
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in raw.split(","))
+
+
+@dataclasses.dataclass(frozen=True)
+class Option:
+    """One run option: a config-file key, its command-line flag (when it
+    has help text) and a RunConfig field."""
+
+    key: str                          # config-file key; the flag is --key, "_" as "-"
+    parse: Callable[[str], Any]       # value parser, for the file and the flag
+    help: str | None = None           # None: config-file only, no flag
+    default: Any = None
+    field: str | None = None          # RunConfig field, when it is not `key`
+    choices: tuple[str, ...] | None = None
+    switch: bool = False              # a flag without a value, setting True
+    path: bool = False                # must name an existing file
+
+    @property
+    def dest(self) -> str:
+        return self.field or self.key
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+
+# Options whose field is also a TrainConfig field take their default from
+# TrainConfig, so training defaults are written only there.
+OPTIONS = (
+    Option("train", str, "training corpus (PubTator format)", path=True),
+    Option("dev", str, "development corpus", path=True),
+    Option("test", str, "test corpus", path=True),
+    Option("emb", str, "pre-trained word vectors (text format)", path=True),
+    Option("model_in", str, "model file to load", path=True),
+    Option("model_out", str, "model file or directory to write"),
+    Option("report", str, "report file to write"),
+    Option("variant", str, "model variant", choices=model.VARIANTS),
+    Option("lambda", float, "Nadam learning rate", field="learning_rate"),
+    Option("filters", int, "number of convolution filters"),
+    Option("dropout", float, "dropout probability on the feature vector"),
+    Option("epochs", int, "training epochs"),
+    Option("batch_size", int, "minibatch size"),
+    Option("seed", int, "master random seed"),
+    Option("debug_numerics", _parse_bool, "assert finiteness of every tensor operation",
+           default=False, switch=True),
+    Option("compare", str, "second model file for a bootstrap comparison", path=True),
+    Option("oracle", _parse_bool, "score gold pairs against themselves (test only)",
+           default=False, switch=True),
+    Option("grid_lambdas", _floats, default=optim.GRID_LEARNING_RATES),
+    Option("grid_filters", _ints, default=optim.GRID_FILTERS),
+    Option("grid_dropouts", _floats, default=optim.GRID_DROPOUTS),
+)
+_BY_KEY = {opt.key: opt for opt in OPTIONS}
+_TRAIN_DEFAULTS = optim.TrainConfig()
+_TRAIN_FIELDS = [opt.dest for opt in OPTIONS if hasattr(_TRAIN_DEFAULTS, opt.dest)]
+
+RunConfig = dataclasses.make_dataclass("RunConfig", [("command", str)] + [
+    (opt.dest, Any, dataclasses.field(default=getattr(_TRAIN_DEFAULTS, opt.dest, opt.default)))
+    for opt in OPTIONS])
+
+
 def load_config_file(path: str) -> dict:
-    """Flat `key = value` configuration; unknown keys are rejected."""
+    """Flat `key = value` configuration, returned by RunConfig field;
+    unknown keys are rejected."""
     values: dict = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -98,57 +130,28 @@ def load_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, raw = (part.strip() for part in line.split("=", 1))
-                kind = _FILE_KEYS.get(key)
-                if kind is None:
+                opt = _BY_KEY.get(key)
+                if opt is None:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 try:
-                    if kind is bool:
-                        value = _parse_bool(raw)
-                    elif kind == "floats":
-                        value = tuple(float(v) for v in raw.split(","))
-                    elif kind == "ints":
-                        value = tuple(int(v) for v in raw.split(","))
-                    else:
-                        value = kind(raw)
+                    value = opt.parse(raw)
+                    if opt.choices and value not in opt.choices:
+                        raise ValueError(raw)
                 except ConfigError:
                     raise
                 except ValueError:
                     raise ConfigError(f"{path}:{lineno}: bad value {raw!r} for {key}") from None
-                values["learning_rate" if key == "lambda" else key] = value
+                values[opt.dest] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     return values
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key-value config file; flags override it")
-    parser.add_argument("--train", help="training corpus (PubTator format)")
-    parser.add_argument("--dev", help="development corpus")
-    parser.add_argument("--test", help="test corpus")
-    parser.add_argument("--emb", help="pre-trained word vectors (text format)")
-    parser.add_argument("--model-in", dest="model_in", help="model file to load")
-    parser.add_argument("--model-out", dest="model_out", help="model file or directory to write")
-    parser.add_argument("--report", help="report file to write")
-    parser.add_argument("--variant", choices=model.VARIANTS, help="model variant")
-    parser.add_argument("--lambda", dest="learning_rate", type=float, help="Nadam learning rate")
-    parser.add_argument("--filters", type=int, help="number of convolution filters")
-    parser.add_argument("--dropout", type=float, help="dropout probability on the feature vector")
-    parser.add_argument("--epochs", type=int, help="training epochs")
-    parser.add_argument("--batch-size", dest="batch_size", type=int, help="minibatch size")
-    parser.add_argument("--seed", type=int, help="master random seed")
-    parser.add_argument("--debug-numerics", dest="debug_numerics", action="store_const",
-                        const=True, help="assert finiteness of every tensor operation")
-    parser.add_argument("--compare", help="second model file for a bootstrap comparison")
-    parser.add_argument("--oracle", action="store_const", const=True,
-                        help="score gold pairs against themselves (test only)")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cdrex",
         description="CNN chemical-disease relation extraction",
-        epilog="environment: CDREX_THREADS caps grid-search worker parallelism; "
-               "CDREX_LOGLEVEL sets the logging level")
+        epilog="environment: CDREX_LOGLEVEL sets the logging level")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("train", "train a model and keep the best dev-F1 epoch"),
@@ -157,7 +160,17 @@ def build_parser() -> argparse.ArgumentParser:
         ("predict", "emit document-level pairs for an unlabelled corpus"),
         ("gradcheck", "finite-difference check of every gradient"),
     ):
-        _add_common(sub.add_parser(name, help=help_text))
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--config", help="flat key-value config file; flags override it")
+        for opt in OPTIONS:
+            if opt.help is None:
+                continue
+            if opt.switch:
+                command.add_argument(opt.flag, dest=opt.dest, action="store_const", const=True,
+                                     help=opt.help)
+            else:
+                command.add_argument(opt.flag, dest=opt.dest, type=opt.parse,
+                                     choices=opt.choices, help=opt.help)
     return parser
 
 
@@ -173,13 +186,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag_value = getattr(args, key)
         if flag_value is not None:
             values[key] = flag_value
-    cfg = RunConfig(command=args.command)
-    for key, value in values.items():
-        setattr(cfg, key, value)
-    for key in _PATH_KEYS:
-        path = getattr(cfg, key)
-        if path is not None and not os.path.exists(path):
-            raise ConfigError(f"--{key.replace('_', '-')}: path {path!r} does not exist")
+    cfg = RunConfig(command=args.command, **values)
+    for opt in OPTIONS:
+        path = getattr(cfg, opt.dest)
+        if opt.path and path is not None and not os.path.exists(path):
+            raise ConfigError(f"{opt.flag}: path {path!r} does not exist")
     if not 0.0 <= cfg.dropout < 1.0:
         raise ConfigError(f"dropout must be in [0, 1), got {cfg.dropout}")
     if cfg.epochs < 0 or cfg.batch_size < 1 or cfg.filters < 1:
@@ -197,23 +208,33 @@ def _require(cfg: RunConfig, *keys: str) -> None:
             raise ConfigError(f"--{key.replace('_', '-')} is required for {cfg.command}")
 
 
-def _load_split(path: str, n_max: int = corpus.DEFAULT_MAX_TOKENS) -> optim.DataSplit:
+def _load_documents(path: str) -> list[corpus.Document]:
     with open(path, encoding="utf-8") as fh:
-        docs = corpus.parse_pubtator(fh)
-    instances = [inst for doc in docs for inst in corpus.build_instances(doc, n_max=n_max)]
-    return optim.DataSplit(docs, instances)
+        return corpus.parse_pubtator(fh)
+
+
+def _load_split(path: str) -> optim.DataSplit:
+    docs = _load_documents(path)
+    return optim.DataSplit(docs, [inst for doc in docs for inst in corpus.build_instances(doc)])
+
+
+def _load_training_data(cfg: RunConfig) -> tuple[optim.DataSplit, optim.DataSplit, corpus.Vocab,
+                                                  dict[str, np.ndarray] | None]:
+    """Train and dev splits, the training vocabulary, and the pre-trained
+    vectors for its words (None without --emb)."""
+    train_data = _load_split(cfg.train)
+    dev_data = _load_split(cfg.dev)
+    vocab = corpus.build_vocab(train_data.documents, train_data.instances)
+    log.info("training corpus: %d documents, %d instances, n=%d",
+             len(train_data.documents), len(train_data.instances), vocab.n)
+    pretrained = None
+    if cfg.emb is not None:
+        pretrained = encoders.load_word_vectors(cfg.emb, vocab=set(vocab.words))
+    return train_data, dev_data, vocab, pretrained
 
 
 def _train_config(cfg: RunConfig) -> optim.TrainConfig:
-    return optim.TrainConfig(variant=cfg.variant, learning_rate=cfg.learning_rate,
-                             filters=cfg.filters, dropout=cfg.dropout,
-                             epochs=cfg.epochs, batch_size=cfg.batch_size, seed=cfg.seed)
-
-
-def _load_pretrained(cfg: RunConfig, vocab) -> dict[str, np.ndarray] | None:
-    if cfg.emb is None:
-        return None
-    return encoders.load_word_vectors(cfg.emb, vocab=set(vocab.words))
+    return optim.TrainConfig(**{name: getattr(cfg, name) for name in _TRAIN_FIELDS})
 
 
 def _check_vocabulary_overlap(params: model.ModelParams, split: optim.DataSplit) -> None:
@@ -240,12 +261,7 @@ class VocabularyMismatch(ValueError):
 
 def cmd_train(cfg: RunConfig) -> int:
     _require(cfg, "train", "dev", "model_out")
-    train_data = _load_split(cfg.train)
-    dev_data = _load_split(cfg.dev)
-    vocab = corpus.build_vocab(train_data.documents, train_data.instances)
-    pretrained = _load_pretrained(cfg, vocab)
-    log.info("training corpus: %d documents, %d instances, n=%d",
-             len(train_data.documents), len(train_data.instances), vocab.n)
+    train_data, dev_data, vocab, pretrained = _load_training_data(cfg)
     report, _ = optim.train(_train_config(cfg), train_data, dev_data,
                             model_path=cfg.model_out, pretrained=pretrained, vocab=vocab)
     if cfg.report:
@@ -266,8 +282,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     _require(cfg, "model_in", "test", "train")
     params = model.load_model(cfg.model_in)
     test_data = _load_split(cfg.test)
-    train_data = _load_split(cfg.train)
-    train_rel = optim.training_relations(train_data.documents)
+    train_rel = optim.training_relations(_load_documents(cfg.train))
     gold = {doc.pmid: set(doc.gold_cid) for doc in test_data.documents}
 
     if cfg.oracle:
@@ -296,16 +311,12 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 def cmd_gridsearch(cfg: RunConfig) -> int:
     _require(cfg, "train", "dev", "model_out", "report")
-    train_data = _load_split(cfg.train)
-    dev_data = _load_split(cfg.dev)
-    vocab = corpus.build_vocab(train_data.documents, train_data.instances)
-    pretrained = _load_pretrained(cfg, vocab)
-    base = _train_config(cfg)
-    grid = [dataclasses.replace(base, learning_rate=lr, filters=m, dropout=rho)
-            for lr in cfg.grid_lambdas for m in cfg.grid_filters for rho in cfg.grid_dropouts]
+    train_data, dev_data, vocab, pretrained = _load_training_data(cfg)
+    grid = optim.default_grid(_train_config(cfg), cfg.grid_lambdas, cfg.grid_filters,
+                              cfg.grid_dropouts)
     os.makedirs(cfg.model_out, exist_ok=True)
     result = optim.grid_search(grid, train_data, dev_data, base_seed=cfg.seed,
-                               model_dir=cfg.model_out, pretrained=pretrained)
+                               model_dir=cfg.model_out, pretrained=pretrained, vocab=vocab)
     with open(cfg.report, "w", encoding="utf-8") as fh:
         best = result.best_config
         fh.write(f"winner lambda={best.learning_rate!r} filters={best.filters} "
@@ -326,7 +337,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     test_data = _load_split(cfg.test)
     train_rel = set()
     if cfg.train:
-        train_rel = optim.training_relations(_load_split(cfg.train).documents)
+        train_rel = optim.training_relations(_load_documents(cfg.train))
     _check_vocabulary_overlap(params, test_data)
     predicted = optim.predict_pairs(test_data, params, train_rel)
     lines = [f"{pmid}\t{chem}\t{dis}"
@@ -382,7 +393,6 @@ def _op_checks(rng: Rng) -> float:
 
     logits = T.Tensor(rng.fill_uniform((3,), -1, 1), requires_grad=True)
     check(lambda: T.nll_loss(T.softmax(logits), 1), [logits])
-    check(lambda: T.nll_loss(T.softmax(logits), 0, weights=[w], l2=0.001), [logits, w])
     return worst
 
 

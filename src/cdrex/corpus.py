@@ -359,11 +359,3 @@ def build_vocab(train_docs: list[Document], train_instances: list[RelationInstan
 def longest_word_length(docs: list[Document]) -> int:
     """Data-sanity statistic over the tokenized corpus."""
     return max((len(t.text) for doc in docs for t in tokenize(doc.text)), default=0)
-
-
-def dump_instances(instances: list[RelationInstance], fh) -> None:
-    """Debugging dump: pmid, chem, dis, i1, i2, label, space-joined tokens."""
-    for inst in instances:
-        fh.write("\t".join([inst.pmid, inst.chem_id, inst.dis_id,
-                            str(inst.i1), str(inst.i2), str(inst.label),
-                            " ".join(inst.tokens)]) + "\n")

@@ -120,18 +120,6 @@ def _word_row(token: str, table: EmbeddingTable) -> int:
     return table.index.get(token.lower(), table.index[UNK_WORD])
 
 
-def embed_word(token: str, table: EmbeddingTable) -> Tensor:
-    """Row for the lowercased token, or the UNK row."""
-    return T.row(table.weights, _word_row(token, table))
-
-
-def embed_position(rel_dist: int, table: EmbeddingTable) -> Tensor:
-    row_i = table.index.get(rel_dist)
-    if row_i is None:
-        raise ValueError(f"relative distance {rel_dist} outside the table range")
-    return T.row(table.weights, row_i)
-
-
 # ---------------------------------------------------------------------------
 # Character-level encoders
 

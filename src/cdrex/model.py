@@ -14,8 +14,10 @@ positive class, in memory and on disk.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
+import os
 import struct
 from dataclasses import dataclass
 
@@ -231,7 +233,21 @@ def _metadata(params: ModelParams) -> dict:
 
 def save_model(params: ModelParams, path) -> None:
     """Binary model file: magic, length-prefixed JSON metadata, then each
-    tensor as name, rank, dims and float64 payload, all little-endian."""
+    tensor as name, rank, dims and float64 payload, all little-endian.
+
+    The file is written beside the target and renamed over it, so a failed
+    write leaves any previous model at `path` intact."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        _write_model(params, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _write_model(params: ModelParams, path) -> None:
     meta = json.dumps(_metadata(params), separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)

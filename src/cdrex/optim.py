@@ -16,7 +16,6 @@ bitwise-identical models.
 
 from __future__ import annotations
 
-import concurrent.futures
 import logging
 import os
 from dataclasses import dataclass, field, replace
@@ -173,6 +172,18 @@ def dev_f1(dev: DataSplit, params: ModelParams,
     return evaluation.prf1(gold, predicted)
 
 
+def _minibatch_step(batch: list[RelationInstance], params: ModelParams,
+                    named: list[tuple[str, Tensor]], state: NadamState, rng: Rng,
+                    lookup: dict[str, list[str]]) -> float:
+    """One Nadam update on a minibatch; returns its loss.  The loss graph
+    is released on return, before anything else (dev evaluation) runs."""
+    zero_grads(named)
+    batch_loss = model.loss(batch, params, rng, lookup_tokens=lookup)
+    batch_loss.backward()
+    nadam_step(named, state)
+    return batch_loss.item()
+
+
 def _snapshot(params: ModelParams) -> dict[str, np.ndarray]:
     return {name: t.data.copy() for name, t in params.named_tensors()}
 
@@ -189,8 +200,9 @@ def train(config: TrainConfig, train_data: DataSplit, dev_data: DataSplit | None
     Nadam updates, and dev-F1 model selection.
 
     Without a dev split the final-epoch parameters are returned and no F1
-    is recorded.  A dev-evaluation failure aborts but preserves the
-    partial report.
+    is recorded.  A numeric failure during training, or any failure during
+    dev evaluation, aborts the run but returns the partial report with
+    status "aborted: ...".
     """
     if not train_data.instances:
         raise ValueError("training split has no instances")
@@ -225,13 +237,14 @@ def train(config: TrainConfig, train_data: DataSplit, dev_data: DataSplit | None
         dropout_rng = epoch_rng.derive("dropout")
 
         losses = []
-        for start in range(0, len(order), config.batch_size):
-            batch = [instances[i] for i in order[start:start + config.batch_size]]
-            zero_grads(named)
-            batch_loss = model.loss(batch, params, dropout_rng, lookup_tokens=lookup)
-            batch_loss.backward()
-            nadam_step(named, state)
-            losses.append(batch_loss.item())
+        try:
+            for start in range(0, len(order), config.batch_size):
+                batch = [instances[i] for i in order[start:start + config.batch_size]]
+                losses.append(_minibatch_step(batch, params, named, state, dropout_rng, lookup))
+        except NumericsError as exc:
+            log.error("training failed in epoch %d: %s", epoch, exc)
+            report.status = f"aborted: {exc}"
+            break
         epoch_loss = float(np.mean(losses))
 
         if dev_data is not None:
@@ -252,13 +265,12 @@ def train(config: TrainConfig, train_data: DataSplit, dev_data: DataSplit | None
             report.epochs.append(EpochRecord(epoch, epoch_loss, None, None, None))
             log.info("epoch %d loss %.4f", epoch, epoch_loss)
 
-    if report.status.startswith("aborted"):
-        pass
-    elif report.epochs:
+    if not report.status.startswith("aborted") and report.epochs:
         report.status = "trained"
     if best is not None:
         _restore(params, best)
-    if model_path is not None and report.epochs:
+    # An aborted run without a dev split has no selected epoch to save.
+    if model_path is not None and (best is not None or report.status == "trained"):
         model.save_model(params, model_path)
         report.model_path = str(model_path)
     return report, params
@@ -268,12 +280,14 @@ def train(config: TrainConfig, train_data: DataSplit, dev_data: DataSplit | None
 # Grid search
 
 
-def default_grid(base: TrainConfig) -> list[TrainConfig]:
-    """The 5 x 5 x 2 search space over learning rate, filters, dropout."""
+def default_grid(base: TrainConfig, learning_rates=GRID_LEARNING_RATES,
+                 filters=GRID_FILTERS, dropouts=GRID_DROPOUTS) -> list[TrainConfig]:
+    """The search space over learning rate, filters and dropout, by
+    default the paper's 5 x 5 x 2 grid."""
     return [replace(base, learning_rate=lr, filters=m, dropout=rho)
-            for lr in GRID_LEARNING_RATES
-            for m in GRID_FILTERS
-            for rho in GRID_DROPOUTS]
+            for lr in learning_rates
+            for m in filters
+            for rho in dropouts]
 
 
 @dataclass
@@ -284,68 +298,40 @@ class GridResult:
     failures: list[tuple[TrainConfig, str]] = field(default_factory=list)
 
 
-def worker_count() -> int:
-    value = os.environ.get("CDREX_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        log.warning("ignoring invalid CDREX_THREADS=%r", value)
-        return 1
-
-
 def grid_search(grid: list[TrainConfig], train_data: DataSplit, dev_data: DataSplit,
                 base_seed: int = 1, model_dir=None,
-                pretrained: dict[str, np.ndarray] | None = None) -> GridResult:
-    """Train one model per configuration and keep the best dev F1.
+                pretrained: dict[str, np.ndarray] | None = None,
+                vocab: Vocab | None = None) -> GridResult:
+    """Train one model per configuration, in order, and keep the best dev F1.
 
     Per-config seeds derive deterministically from the base seed and the
-    configuration index.  A failing configuration is recorded and skipped;
-    the search fails only if every configuration does.  Ties break toward
-    the lexicographically smaller (learning rate, filters, dropout).
+    configuration index.  A failing configuration is recorded and skipped,
+    and an aborted one is never the winner; the search fails only if no
+    configuration completes with a dev score.  Ties break toward the
+    lexicographically smaller (learning rate, filters, dropout).
     """
     if not grid:
         raise ValueError("empty grid")
     seeder = Rng(base_seed)
-    jobs = [replace(cfg, seed=seeder.derive(f"grid-{i}").seed) for i, cfg in enumerate(grid)]
-    vocab = build_vocab(train_data.documents, train_data.instances,
-                        n_max=jobs[0].n_max)
-
-    def run(i_cfg):
-        i, cfg = i_cfg
-        path = None
-        if model_dir is not None:
-            path = os.path.join(str(model_dir), f"config-{i:03d}.model")
-        report, _ = train(cfg, train_data, dev_data, model_path=path,
-                          pretrained=pretrained, vocab=vocab)
-        return report
-
-    reports: list[TrainReport | None] = [None] * len(jobs)
+    reports: list[TrainReport] = []
     failures: list[tuple[TrainConfig, str]] = []
-    workers = worker_count()
-    if workers == 1:
-        for i, cfg in enumerate(jobs):
-            try:
-                reports[i] = run((i, cfg))
-            except Exception as exc:  # noqa: BLE001 - recorded, search continues
-                log.error("configuration %d failed: %s", i, exc)
-                failures.append((cfg, str(exc)))
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(run, (i, cfg)): (i, cfg) for i, cfg in enumerate(jobs)}
-            for future in concurrent.futures.as_completed(futures):
-                i, cfg = futures[future]
-                try:
-                    reports[i] = future.result()
-                except Exception as exc:  # noqa: BLE001
-                    log.error("configuration %d failed: %s", i, exc)
-                    failures.append((cfg, str(exc)))
+    for i, cfg in enumerate(grid):
+        cfg = replace(cfg, seed=seeder.derive(f"grid-{i}").seed)
+        path = None if model_dir is None else os.path.join(str(model_dir), f"config-{i:03d}.model")
+        try:
+            report, _ = train(cfg, train_data, dev_data, model_path=path,
+                              pretrained=pretrained, vocab=vocab)
+        except Exception as exc:  # noqa: BLE001 - recorded, search continues
+            log.error("configuration %d failed: %s", i, exc)
+            failures.append((cfg, str(exc)))
+            continue
+        reports.append(report)
 
-    done = [r for r in reports if r is not None]
-    scored = [r for r in done if r.best_f1 is not None]
+    scored = [r for r in reports if r.best_f1 is not None and not r.status.startswith("aborted")]
     if not scored:
         raise RuntimeError("grid search: every configuration failed or produced no dev score")
     best = min(scored, key=lambda r: (-r.best_f1, r.config.sort_key()))
-    return GridResult(best_config=best.config, best_report=best, reports=done,
+    return GridResult(best_config=best.config, best_report=best, reports=reports,
                       failures=failures)
 
 

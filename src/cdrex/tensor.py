@@ -16,7 +16,7 @@ independent graphs never share state.
 from __future__ import annotations
 
 import logging
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,10 +33,6 @@ def set_debug_numerics(enabled: bool) -> None:
     """Toggle finiteness assertions on every operation output."""
     global _debug_numerics
     _debug_numerics = bool(enabled)
-
-
-def debug_numerics_enabled() -> bool:
-    return _debug_numerics
 
 
 class ShapeError(ValueError):
@@ -98,16 +94,6 @@ class Tensor:
         for node in order:
             if node.requires_grad and node.grad is None:
                 node.grad = np.zeros_like(node.data)
-
-    # Small conveniences; the module-level functions are the canonical API.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 def graph_nodes(root: Tensor) -> list[Tensor]:
@@ -401,9 +387,8 @@ def dropout(z: Tensor, rho: float, rng: Rng, training: bool) -> Tensor:
     return _result(z.data * mask, (z,), backward, "dropout")
 
 
-def nll_loss(p: Tensor, gold: int, weights: Iterable[Tensor] = (), l2: float = 0.0) -> Tensor:
-    """Negative log likelihood of the gold class, plus an optional L2
-    penalty l2 * sum ||W||^2 over the given weight tensors.
+def nll_loss(p: Tensor, gold: int) -> Tensor:
+    """Negative log likelihood of the gold class.
 
     p[gold] is clamped at 1e-12 before the log; inside the clamped region
     the gradient is zero, matching what finite differences see.
@@ -421,11 +406,7 @@ def nll_loss(p: Tensor, gold: int, weights: Iterable[Tensor] = (), l2: float = 0
             acc = np.zeros_like(p.data)
             acc[gold] = -float(g) / pg
             p.accumulate_grad(acc)
-    loss = _result(np.asarray(-np.log(max(pg, LOG_CLAMP))), (p,), backward, "nll")
-    if l2 != 0.0:
-        for w in weights:
-            loss = add(loss, scale(sum_all(mul(w, w)), l2))
-    return loss
+    return _result(np.asarray(-np.log(max(pg, LOG_CLAMP))), (p,), backward, "nll")
 
 
 def grad_check(f: Callable[[], Tensor], inputs: Sequence[Tensor], eps: float = 1e-4) -> float:

@@ -5,16 +5,21 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_corpus_text
+from cdrex import optim
 from cdrex.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VOCAB,
+    OPTIONS,
     ConfigError,
+    RunConfig,
+    build_parser,
     gradcheck_suite,
     load_config_file,
     main,
+    resolve_config,
 )
 from cdrex.model import MAGIC, load_model
 
@@ -86,6 +91,17 @@ class TestTrainCommand:
 
     def test_missing_required_flag_is_config_error(self, corpora, capsys):
         assert main(["train", "--train", corpora["train"]]) == EXIT_CONFIG
+
+    def test_numeric_failure_writes_report_and_exits_3(self, corpora):
+        vectors = corpora["dir"] / "vectors.txt"
+        vectors.write_text("chem0 nan" + " 0.125" * 199 + "\n")
+        report = corpora["dir"] / "report.txt"
+        model_path = corpora["dir"] / "model.bin"
+        code = main(train_args(corpora, model_path,
+                               ["--emb", str(vectors), "--report", str(report)]))
+        assert code == EXIT_NUMERIC
+        assert "status aborted" in report.read_text()
+        assert not model_path.exists()
 
     def test_report_files_are_byte_identical_across_runs(self, corpora):
         report = corpora["dir"] / "report.txt"
@@ -192,6 +208,22 @@ class TestGridSearchCommand:
         assert text.startswith("winner lambda=0.0005 filters=4 dropout=0.0")
         assert (tmp_path / "grid-models" / "config-000.model").exists()
 
+    def test_default_grid_is_the_paper_grid(self, corpora, monkeypatch):
+        class Captured(Exception):
+            pass
+
+        def grid_search(grid, *args, **kwargs):
+            raise Captured(grid)
+
+        monkeypatch.setattr(optim, "grid_search", grid_search)
+        with pytest.raises(Captured) as exc:
+            main(["gridsearch", "--train", corpora["train"], "--dev", corpora["dev"],
+                  "--model-out", str(corpora["dir"] / "models"),
+                  "--report", str(corpora["dir"] / "grid.txt")])
+        grid = exc.value.args[0]
+        assert grid == optim.default_grid(optim.TrainConfig())
+        assert len(grid) == 50
+
 
 class TestGradcheckCommand:
     def test_prints_small_error_and_exits_zero(self, capsys):
@@ -213,11 +245,31 @@ class TestArgumentHandling:
             main(["train", "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        for flag in ("--config", "--train", "--dev", "--test", "--emb", "--model-in",
-                     "--model-out", "--report", "--variant", "--lambda", "--filters",
-                     "--dropout", "--epochs", "--batch-size", "--seed",
-                     "--debug-numerics", "--compare", "--oracle"):
+        flags = ("--config", "--train", "--dev", "--test", "--emb", "--model-in",
+                 "--model-out", "--report", "--variant", "--lambda", "--filters",
+                 "--dropout", "--epochs", "--batch-size", "--seed",
+                 "--debug-numerics", "--compare", "--oracle")
+        assert set(flags) == {"--config"} | {opt.flag for opt in OPTIONS if opt.help}
+        for flag in flags:
             assert flag in out
+
+    def test_config_file_and_flag_give_equal_configs(self, corpora, tmp_path):
+        # A non-default value for every option that has a flag.
+        samples = {"model_out": "out.bin", "report": "report.txt", "variant": "cnn+lstmchar",
+                   "lambda": "0.0005", "filters": "7", "dropout": "0.25", "epochs": "3",
+                   "batch_size": "8", "seed": "9", "debug_numerics": "true", "oracle": "yes"}
+        for key in ("train", "dev", "test", "emb", "model_in", "compare"):
+            samples[key] = corpora[key] if key in corpora else corpora["train"]
+        default = RunConfig(command="train")
+        for opt in OPTIONS:
+            if not opt.help:
+                continue
+            config = tmp_path / f"{opt.key}.cfg"
+            config.write_text(f"{opt.key} = {samples[opt.key]}\n")
+            from_file = resolve_config(build_parser().parse_args(["train", "--config", str(config)]))
+            flag = [opt.flag] if opt.switch else [opt.flag, samples[opt.key]]
+            from_flag = resolve_config(build_parser().parse_args(["train", *flag]))
+            assert from_file == from_flag != default, opt.key
 
     def test_config_file_provides_values_and_flags_override(self, corpora, tmp_path):
         config = tmp_path / "run.cfg"

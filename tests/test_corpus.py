@@ -12,7 +12,6 @@ from cdrex.corpus import (
     RelationInstance,
     build_instances,
     build_vocab,
-    dump_instances,
     fit_instance,
     longest_word_length,
     parse_pubtator,
@@ -315,13 +314,6 @@ class TestFitInstance:
 def test_longest_word_length():
     docs = parse_pubtator(block("7", "Pentamethylcyclopentadiene is long.", "Short words."))
     assert longest_word_length(docs) == len("Pentamethylcyclopentadiene")
-
-
-def test_dump_instances_format():
-    inst = RelationInstance("7#0", "7", ["CA", "hurts", "DA"], 0, 2, "C1", "D1", 1)
-    buf = io.StringIO()
-    dump_instances([inst], buf)
-    assert buf.getvalue() == "7\tC1\tD1\t0\t2\t1\tCA hurts DA\n"
 
 
 def test_mention_and_document_dataclasses():

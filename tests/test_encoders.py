@@ -18,8 +18,6 @@ from cdrex.encoders import (
     char_cnn_encode,
     char_cnn_params,
     char_table,
-    embed_position,
-    embed_word,
     load_word_vectors,
     position_table,
     unk_replace,
@@ -33,21 +31,30 @@ def chartab():
     return char_table("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", Rng(11))
 
 
+def embed_token(token: str, tab) -> Tensor:
+    """Input matrix of a one-token instance: its first tab.dim columns are
+    the word lookup every model input goes through."""
+    rng = Rng(0)
+    tables = EmbeddingSet(tab, position_table("pos1", 1, rng, dim=1),
+                          position_table("pos2", 1, rng, dim=1), None, n=1)
+    return build_input_matrix(instance([token], 0, 0), tables)
+
+
 class TestWordTable:
     def test_present_token_returns_stored_row(self):
         tab = word_table(["aspirin", "headache"], Rng(1))
-        out = embed_word("aspirin", tab)
-        np.testing.assert_array_equal(out.data, tab.weights.data[tab.index["aspirin"]])
+        out = embed_token("aspirin", tab)
+        np.testing.assert_array_equal(out.data[0, :tab.dim], tab.weights.data[tab.index["aspirin"]])
 
     def test_absent_token_returns_unk_row(self):
         tab = word_table(["aspirin"], Rng(1))
-        out = embed_word("ibuprofen", tab)
-        np.testing.assert_array_equal(out.data, tab.weights.data[tab.index[UNK_WORD]])
+        out = embed_token("ibuprofen", tab)
+        np.testing.assert_array_equal(out.data[0, :tab.dim], tab.weights.data[tab.index[UNK_WORD]])
 
     def test_lookup_is_lowercased(self):
         tab = word_table(["tamoxifen"], Rng(1))
-        np.testing.assert_array_equal(embed_word("Tamoxifen", tab).data,
-                                      embed_word("tamoxifen", tab).data)
+        np.testing.assert_array_equal(embed_token("Tamoxifen", tab).data,
+                                      embed_token("tamoxifen", tab).data)
 
     def test_pretrained_rows_copied(self):
         vec = np.arange(200, dtype=np.float64)
@@ -57,7 +64,7 @@ class TestWordTable:
 
     def test_lookup_differentiable_into_table(self):
         tab = word_table(["aspirin"], Rng(1), dim=4)
-        out = embed_word("aspirin", tab)
+        out = embed_token("aspirin", tab)
         T.sum_all(out).backward()
         grad_rows = np.flatnonzero(np.abs(tab.weights.grad).sum(axis=1))
         assert list(grad_rows) == [tab.index["aspirin"]]
@@ -66,17 +73,16 @@ class TestWordTable:
 class TestPositionTable:
     def test_zero_distance_row(self):
         tab = position_table("pos1", 5, Rng(2), dim=3)
-        np.testing.assert_array_equal(embed_position(0, tab).data, tab.weights.data[4])
+        assert tab.index[0] == 4
 
     def test_signed_indexing_distinct(self):
         tab = position_table("pos1", 5, Rng(2), dim=3)
-        assert not np.array_equal(embed_position(-3, tab).data, embed_position(3, tab).data)
+        assert not np.array_equal(tab.weights.data[tab.index[-3]], tab.weights.data[tab.index[3]])
 
     def test_boundary_at_table_size(self):
         tab = position_table("pos1", 400, Rng(2), dim=2)
-        np.testing.assert_array_equal(embed_position(399, tab).data, tab.weights.data[-1])
-        with pytest.raises(ValueError):
-            embed_position(400, tab)
+        assert tab.index[399] == tab.rows - 1
+        assert 400 not in tab.index and -400 not in tab.index
 
     def test_injective_over_range(self):
         tab = position_table("pos1", 6, Rng(2), dim=2)

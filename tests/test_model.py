@@ -101,6 +101,31 @@ class TestLoss:
         with pytest.raises(ValueError):
             loss([make_instance(label=None)], params, Rng(1))
 
+    def test_l2_penalty_hand_value(self):
+        # The penalty l2 * sum ||W||^2 is added once per batch, over the
+        # regularizable matrices only, with gradient 2 * l2 * W.
+        params = tiny_model(variant="cnn+lstmchar", rho=0.0)
+        batch = [make_instance(), make_instance(label=0, uid="doc1#1")]
+        named = params.named_tensors()
+
+        def value_and_grads(l2):
+            params.hyper.l2 = l2
+            for _, t in named:
+                t.grad = None
+            out = loss(batch, params, Rng(1))
+            out.backward()
+            return out.item(), {name: t.grad.copy() for name, t in named}
+
+        base, base_grads = value_and_grads(0.0)
+        total, grads = value_and_grads(0.001)
+        weights = params.regularizable()
+        assert abs(total - base - 0.001 * sum(float((w.data ** 2).sum()) for w in weights)) < 1e-12
+        penalized = {id(w) for w in weights}
+        assert len(penalized) == 6  # conv filters, W1, and the two LSTMs' wx and wh
+        for name, t in named:
+            expected = base_grads[name] + (0.002 * t.data if id(t) in penalized else 0.0)
+            np.testing.assert_allclose(grads[name], expected, rtol=0, atol=1e-12, err_msg=name)
+
     @pytest.mark.parametrize("variant", ["cnn+cnnchar", "cnn+lstmchar"])
     def test_full_gradient_check(self, variant):
         params = tiny_model(variant=variant, rho=0.0)  # rho=0 keeps f deterministic
@@ -154,6 +179,24 @@ class TestSerialization:
         with pytest.raises(ModelFormatError) as exc:
             load_model(path)
         assert exc.value.code == ModelFormatError.SHAPE_MISMATCH
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(tiny_model(seed=1), path)
+        before = path.read_bytes()
+
+        class Unwritable:
+            @property
+            def data(self):
+                raise OSError("disk full")
+
+        params = tiny_model(seed=2)
+        named = params.named_tensors()
+        params.named_tensors = lambda: named + [("out.extra", Unwritable())]
+        with pytest.raises(OSError, match="disk full"):
+            save_model(params, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
     def test_magic_bytes(self, tmp_path):
         path = tmp_path / "model.bin"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cdrex import model as M
+from cdrex import optim
 from cdrex.corpus import build_instances, build_vocab, parse_pubtator
 from cdrex.optim import (
     DataSplit,
@@ -112,6 +113,19 @@ def synthetic_split(count: int, start: int = 0) -> DataSplit:
     return DataSplit(docs, instances)
 
 
+def fail_nadam_after(monkeypatch, steps: int, learning_rate: float | None = None) -> None:
+    """Make every Nadam update after the first `steps` of a run fail as on
+    a NaN gradient; with `learning_rate`, only in runs at that rate."""
+    real = optim.nadam_step
+
+    def nadam_step(named, state):
+        if state.step >= steps and (learning_rate is None or state.learning_rate == learning_rate):
+            raise NumericsError("NaN gradient for parameter 'out.w1'")
+        return real(named, state)
+
+    monkeypatch.setattr(optim, "nadam_step", nadam_step)
+
+
 def tiny_config(**overrides) -> TrainConfig:
     base = dict(variant="cnn", learning_rate=5e-4, filters=8, dropout=0.0, l2=0.0,
                 epochs=3, batch_size=4, seed=11, window=2,
@@ -171,6 +185,21 @@ class TestTrain:
         report, _ = train(tiny_config(epochs=3), split, broken_dev)
         assert report.status.startswith("aborted")
         assert report.epochs == []  # failed during the first dev evaluation
+
+    def test_training_failure_returns_partial_report(self, monkeypatch, tmp_path):
+        # One minibatch per epoch: the update of epoch 2 fails.
+        fail_nadam_after(monkeypatch, steps=1)
+        split = synthetic_split(6)
+        path = tmp_path / "dev.model"
+        report, _ = train(tiny_config(batch_size=8), split, split, model_path=path)
+        assert report.status == "aborted: NaN gradient for parameter 'out.w1'"
+        assert [e.epoch for e in report.epochs] == [1]
+        assert report.best_epoch == 1 and report.model_path == str(path)
+        # Without a dev split there is no selected epoch, so no model file.
+        path = tmp_path / "nodev.model"
+        report, _ = train(tiny_config(batch_size=8), split, None, model_path=path)
+        assert report.status.startswith("aborted") and report.model_path is None
+        assert not path.exists()
 
     def test_loss_strictly_decreases_over_first_steps(self):
         # Broken gradients would show up as a non-decreasing frozen-batch loss.
@@ -252,6 +281,17 @@ class TestGridSearch:
         result = grid_search([a, b], split, split, base_seed=5)
         assert result.best_config.learning_rate == 5e-13
 
+    def test_aborted_config_never_wins(self, monkeypatch):
+        # Both configurations score the same dev F1, so the tie-break would
+        # pick the smaller learning rate, whose run aborts in epoch 2.
+        fail_nadam_after(monkeypatch, steps=1, learning_rate=5e-13)
+        split = synthetic_split(6)
+        grid = [tiny_config(epochs=2, batch_size=8, learning_rate=lr) for lr in (1e-12, 5e-13)]
+        result = grid_search(grid, split, split, base_seed=5)
+        aborted = result.reports[1]
+        assert aborted.status.startswith("aborted") and aborted.best_f1 == result.best_report.best_f1
+        assert result.best_config.learning_rate == 1e-12
+
     def test_failures_recorded_and_skipped(self):
         split = synthetic_split(6)
         bad = tiny_config(variant="nonsense")
@@ -274,16 +314,6 @@ class TestGridSearch:
         assert r1.best_config.seed == r2.best_config.seed
         assert [e.loss for e in r1.best_report.epochs] == \
             [e.loss for e in r2.best_report.epochs]
-
-    def test_thread_pool_matches_sequential(self, monkeypatch):
-        split = synthetic_split(8)
-        grid = [tiny_config(epochs=1, learning_rate=lr) for lr in (1e-4, 5e-4)]
-        sequential = grid_search(list(grid), split, split, base_seed=9)
-        monkeypatch.setenv("CDREX_THREADS", "2")
-        threaded = grid_search(list(grid), split, split, base_seed=9)
-        assert threaded.best_config == sequential.best_config
-        assert [[e.loss for e in r.epochs] for r in threaded.reports] == \
-            [[e.loss for e in r.epochs] for r in sequential.reports]
 
 
 # ---------------------------------------------------------------------------

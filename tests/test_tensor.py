@@ -208,13 +208,6 @@ class TestNllLoss:
     def test_uniform_case(self):
         assert abs(nll_loss(t([0.5, 0.5]), 1).item() - math.log(2.0)) < 1e-12
 
-    def test_l2_penalty_hand_value(self):
-        # 0.001 * ||[[2]]||^2 = 0.004 on top of the base loss.
-        w = t([[2.0]], requires_grad=True)
-        base = nll_loss(t([0.5, 0.5]), 0).item()
-        total = nll_loss(t([0.5, 0.5]), 0, weights=[w], l2=0.001).item()
-        assert abs(total - (base + 0.004)) < 1e-12
-
     def test_zero_probability_clamped(self):
         loss = nll_loss(t([0.0, 1.0]), 0)
         assert loss.item() == -math.log(1e-12)
@@ -297,7 +290,7 @@ class TestGradCheck:
             fm = relu(conv1d_valid(inp, filt, bias))
             z = max_over_time(fm)
             p = softmax(add(matmul(w, z), b))
-            return nll_loss(p, 1, weights=[w, filt], l2=0.001)
+            return nll_loss(p, 1)
 
         err = grad_check(f, [inp, filt, bias, w, b], eps=1e-4)
         assert err < 1e-4
