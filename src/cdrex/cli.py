@@ -229,7 +229,8 @@ def _load_training_data(cfg: RunConfig) -> tuple[optim.DataSplit, optim.DataSpli
              len(train_data.documents), len(train_data.instances), vocab.n)
     pretrained = None
     if cfg.emb is not None:
-        pretrained = encoders.load_word_vectors(cfg.emb, vocab=set(vocab.words))
+        pretrained = encoders.load_word_vectors(cfg.emb, dim=_TRAIN_DEFAULTS.word_dim,
+                                                vocab=set(vocab.words))
     return train_data, dev_data, vocab, pretrained
 
 
@@ -315,20 +316,32 @@ def cmd_gridsearch(cfg: RunConfig) -> int:
     grid = optim.default_grid(_train_config(cfg), cfg.grid_lambdas, cfg.grid_filters,
                               cfg.grid_dropouts)
     os.makedirs(cfg.model_out, exist_ok=True)
-    result = optim.grid_search(grid, train_data, dev_data, base_seed=cfg.seed,
-                               model_dir=cfg.model_out, pretrained=pretrained, vocab=vocab)
-    with open(cfg.report, "w", encoding="utf-8") as fh:
-        best = result.best_config
-        fh.write(f"winner lambda={best.learning_rate!r} filters={best.filters} "
-                 f"dropout={best.dropout!r} f1={result.best_report.best_f1!r}\n")
-        for report in result.reports:
-            fh.write("\n" + optim.render_train_report(report))
-        for failed_cfg, message in result.failures:
-            fh.write(f"\nfailed lambda={failed_cfg.learning_rate!r} "
-                     f"filters={failed_cfg.filters} dropout={failed_cfg.dropout!r}: {message}\n")
+    try:
+        result = optim.grid_search(grid, train_data, dev_data, base_seed=cfg.seed,
+                                   model_dir=cfg.model_out, pretrained=pretrained, vocab=vocab)
+    except optim.GridSearchError as exc:
+        _write_grid_report(cfg.report, "winner -", exc.reports, exc.failures)
+        print(f"cdrex gridsearch: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    best = result.best_config
+    _write_grid_report(cfg.report,
+                       f"winner lambda={best.learning_rate!r} filters={best.filters} "
+                       f"dropout={best.dropout!r} f1={result.best_report.best_f1!r}",
+                       result.reports, result.failures)
     print(f"grid winner: lambda={best.learning_rate} filters={best.filters} "
           f"dropout={best.dropout} dev F1 {result.best_report.best_f1:.1f}")
     return EXIT_OK
+
+
+def _write_grid_report(path: str, winner: str, reports: list[optim.TrainReport],
+                       failures: list[tuple[optim.TrainConfig, str]]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(winner + "\n")
+        for report in reports:
+            fh.write("\n" + optim.render_train_report(report))
+        for failed_cfg, message in failures:
+            fh.write(f"\nfailed lambda={failed_cfg.learning_rate!r} "
+                     f"filters={failed_cfg.filters} dropout={failed_cfg.dropout!r}: {message}\n")
 
 
 def cmd_predict(cfg: RunConfig) -> int:
@@ -475,7 +488,7 @@ def main(argv=None) -> int:
     except VocabularyMismatch as exc:
         print(f"cdrex: vocabulary mismatch: {exc}", file=sys.stderr)
         return EXIT_VOCAB
-    except (corpus.ParseError, model.ModelFormatError) as exc:
+    except (corpus.ParseError, model.ModelFormatError, encoders.VectorFormatError) as exc:
         print(f"cdrex: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except T.NumericsError as exc:

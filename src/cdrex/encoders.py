@@ -251,7 +251,8 @@ def encode_chars(word: str, chartable: EmbeddingTable, params: CharEncoderParams
 
 def build_input_matrix(instance, tables: EmbeddingSet,
                        char_params: CharEncoderParams | None = None,
-                       word_tokens: list[str] | None = None) -> Tensor:
+                       word_tokens: list[str] | None = None,
+                       char_cache: dict[str, Tensor] | None = None) -> Tensor:
     """The n x d model input for one relation instance.
 
     Rows beyond the real tokens use the PAD word token (its characters are
@@ -259,6 +260,13 @@ def build_input_matrix(instance, tables: EmbeddingSet,
     index as usual.  `word_tokens`, when given, replaces the word-lookup
     path only (UNK replacement); the character encoder always sees the
     original tokens.
+
+    `char_cache` maps surface forms to their character encodings, and only
+    forms missing from it are encoded.  Without one the instance gets a
+    fresh dict, so each distinct form is encoded once and its gradient
+    flows through the shared subgraph into every row that reuses it.  A
+    dict shared across instances must not outlive the parameter values it
+    was computed with (one inference pass).
     """
     n = tables.n
     real = list(instance.tokens)
@@ -285,16 +293,14 @@ def build_input_matrix(instance, tables: EmbeddingSet,
     if char_params is not None:
         if tables.char is None:
             raise ValueError("character encoder given but no character table")
-        # Encode each distinct surface form once; gradient flows through the
-        # shared subgraph into every row that reuses it.
-        uniq: dict[str, int] = {}
-        for tok in padded:
-            if tok not in uniq:
-                uniq[tok] = len(uniq)
-        encoded = [None] * len(uniq)
-        for tok, j in uniq.items():
-            encoded[j] = encode_chars(tok, tables.char, char_params)
-        char_part = T.gather(T.stack_rows(encoded), [uniq[tok] for tok in padded])
+        cache = {} if char_cache is None else char_cache
+        forms = list(dict.fromkeys(padded))  # distinct, in order of first use
+        for tok in forms:
+            if tok not in cache:
+                cache[tok] = encode_chars(tok, tables.char, char_params)
+        slot = {tok: j for j, tok in enumerate(forms)}
+        char_part = T.gather(T.stack_rows([cache[tok] for tok in forms]),
+                             [slot[tok] for tok in padded])
         parts.append(char_part)
 
     out = T.concat(parts)
@@ -317,15 +323,23 @@ def unk_replace(tokens: list[str], counts: dict[str, int], rng: Rng) -> list[str
     return out
 
 
+class VectorFormatError(ValueError):
+    """Malformed pre-trained vector file; the message names file and line."""
+
+
 def load_word_vectors(path, dim: int | None = None,
                       vocab: set[str] | None = None) -> dict[str, np.ndarray]:
     """Read pre-trained vectors: one `word v1 .. vD` entry per line, with
-    an optional `ROWS DIM` header auto-detected on the first line.  When
-    `vocab` is given only those (lowercased) words are kept."""
+    an optional `ROWS DIM` header auto-detected on the first line.  Every
+    entry must have `dim` values (by default, as many as the first entry).
+    When `vocab` is given only those (lowercased) words are kept."""
     vectors: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                parts = raw.decode("utf-8").split()
+            except UnicodeDecodeError:
+                raise VectorFormatError(f"{path}: line {lineno}: not UTF-8 text") from None
             if not parts:
                 continue
             if lineno == 1 and len(parts) == 2 and all(p.isdigit() for p in parts):
@@ -334,12 +348,14 @@ def load_word_vectors(path, dim: int | None = None,
             if dim is None:
                 dim = len(values)
             if len(values) != dim:
-                raise ValueError(f"line {lineno}: expected {dim} values, got {len(values)}")
+                raise VectorFormatError(
+                    f"{path}: line {lineno}: expected {dim} values, got {len(values)}")
             key = word.lower()
             if vocab is not None and key not in vocab:
                 continue
             try:
                 vectors[key] = np.array([float(v) for v in values])
             except ValueError as exc:
-                raise ValueError(f"line {lineno}: non-numeric component ({exc})") from None
+                raise VectorFormatError(
+                    f"{path}: line {lineno}: non-numeric component ({exc})") from None
     return vectors

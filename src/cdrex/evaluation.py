@@ -100,23 +100,36 @@ def evaluate(gold: dict[str, set[Pair]], predicted: dict[str, set[Pair]]) -> Eva
 # Paired bootstrap significance test
 
 
-def _doc_counts(system: dict[str, set[Pair]], gold: dict[str, set[Pair]], pmids: list[str]):
-    tp = np.zeros(len(pmids))
-    fp = np.zeros(len(pmids))
-    fn = np.zeros(len(pmids))
+# Replicates scored together: memory is a few arrays of BOOTSTRAP_BLOCK x
+# documents, whatever the iteration count.
+BOOTSTRAP_BLOCK = 1_000
+
+
+def _doc_counts(system: dict[str, set[Pair]], gold: dict[str, set[Pair]],
+                pmids: list[str]) -> np.ndarray:
+    """(documents, 3) array of per-document tp, fp, fn."""
+    counts = np.zeros((len(pmids), 3))
     for i, pmid in enumerate(pmids):
         g = gold.get(pmid, set())
         p = system.get(pmid, set())
-        tp[i] = len(g & p)
-        fp[i] = len(p - g)
-        fn[i] = len(g - p)
-    return tp, fp, fn
+        counts[i] = len(g & p), len(p - g), len(g - p)
+    return counts
 
 
-def _f1_from_counts(tp: float, fp: float, fn: float) -> float:
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    return f_score(precision, recall)
+def _f1(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray) -> np.ndarray:
+    """Elementwise F1 (a fraction) from counts, 0 where undefined, by the
+    floating-point operations of `f_score`."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
+        recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
+        total = precision + recall
+        return np.where(total > 0, 2.0 * precision * recall / total, 0.0)
+
+
+def _f1_delta(counts: np.ndarray) -> np.ndarray:
+    """F1 of system A minus F1 of system B, from count rows (one row, or
+    a (replicates, 6) matrix) laid out as A's tp, fp, fn then B's."""
+    return _f1(*counts[..., :3].T) - _f1(*counts[..., 3:].T)
 
 
 def bootstrap_test(system_a: dict[str, set[Pair]], system_b: dict[str, set[Pair]],
@@ -127,6 +140,11 @@ def bootstrap_test(system_a: dict[str, set[Pair]], system_b: dict[str, set[Pair]
     Documents are resampled with replacement; the returned p-value is the
     fraction of replicates in which the observed winner fails to win
     (ties count as failures).  Identical systems give p = 1.
+
+    Replicates are drawn and scored in blocks of BOOTSTRAP_BLOCK.  Each
+    block takes its indices from one `fill_uniform` call, which continues
+    the stream exactly as one call per replicate would, and replicate
+    counts are sums of small integers, hence exact in any order.
     """
     if iterations < 100:
         raise ValueError("bootstrap_test needs at least 100 iterations for a stable estimate")
@@ -134,23 +152,22 @@ def bootstrap_test(system_a: dict[str, set[Pair]], system_b: dict[str, set[Pair]
     pmids = sorted(set(gold) | set(system_a) | set(system_b))
     if not pmids:
         raise ValueError("bootstrap_test: no documents to resample")
-    a_tp, a_fp, a_fn = _doc_counts(system_a, gold, pmids)
-    b_tp, b_fp, b_fn = _doc_counts(system_b, gold, pmids)
+    counts = np.hstack([_doc_counts(system_a, gold, pmids), _doc_counts(system_b, gold, pmids)])
 
-    observed = (_f1_from_counts(a_tp.sum(), a_fp.sum(), a_fn.sum())
-                - _f1_from_counts(b_tp.sum(), b_fp.sum(), b_fn.sum()))
+    observed = float(_f1_delta(counts.sum(axis=0)))
     if observed == 0.0:
         return 1.0
     sign = 1.0 if observed > 0 else -1.0
 
     n = len(pmids)
     losses = 0
-    for _ in range(iterations):
-        idx = np.minimum((rng.fill_uniform((n,), 0.0, 1.0) * n).astype(np.intp), n - 1)
-        delta = (_f1_from_counts(a_tp[idx].sum(), a_fp[idx].sum(), a_fn[idx].sum())
-                 - _f1_from_counts(b_tp[idx].sum(), b_fp[idx].sum(), b_fn[idx].sum()))
-        if sign * delta <= 0.0:
-            losses += 1
+    for start in range(0, iterations, BOOTSTRAP_BLOCK):
+        size = min(BOOTSTRAP_BLOCK, iterations - start)
+        idx = np.minimum((rng.fill_uniform((size, n), 0.0, 1.0) * n).astype(np.intp), n - 1)
+        # How often each replicate drew each document, then its count totals.
+        draws = np.bincount((idx + n * np.arange(size)[:, None]).ravel(),
+                            minlength=size * n).reshape(size, n)
+        losses += int(np.count_nonzero(sign * _f1_delta(draws @ counts) <= 0.0))
     return losses / iterations
 
 

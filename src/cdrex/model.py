@@ -165,18 +165,25 @@ def init_model(vocab, variant: str, rng: Rng, *, m: int = 100, rho: float = 0.5,
 
 
 def class_probabilities(instance, params: ModelParams, rng: Rng, training: bool,
-                        word_tokens: list[str] | None = None) -> Tensor:
-    """Probability vector over CLASS_ORDER, with the graph attached."""
+                        word_tokens: list[str] | None = None,
+                        char_cache: dict[str, Tensor] | None = None) -> Tensor:
+    """Probability vector over CLASS_ORDER, with the graph attached unless
+    run under `tensor.no_grad`."""
     mat = encoders.build_input_matrix(instance, params.tables, params.char_params,
-                                      word_tokens=word_tokens)
+                                      word_tokens=word_tokens, char_cache=char_cache)
     fm = T.relu(T.conv1d_valid(mat, params.conv_filters, params.conv_bias))
     z = T.max_over_time(fm)
     z = T.dropout(z, params.hyper.rho, rng, training)
     return T.softmax(T.add(T.matmul(params.w1, z), params.b1))
 
 
-def forward(instance, params: ModelParams, rng: Rng, training: bool = False) -> Prediction:
-    p = class_probabilities(instance, params, rng, training)
+def forward(instance, params: ModelParams, rng: Rng, training: bool = False,
+            char_cache: dict[str, Tensor] | None = None) -> Prediction:
+    """Class probabilities and label for one instance, computed without a
+    graph.  Pass one `char_cache` dict across calls that share parameter
+    values to encode each surface form's characters once."""
+    with T.no_grad():
+        p = class_probabilities(instance, params, rng, training, char_cache=char_cache)
     return Prediction(uid=getattr(instance, "uid", ""),
                       probabilities=p.data.copy(),
                       label=int(np.argmax(p.data)))

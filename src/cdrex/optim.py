@@ -149,6 +149,9 @@ def predict_pairs(split: DataSplit, params: ModelParams,
     """Document-level predicted pairs for a split, via mention-level
     classification plus the training co-occurrence rule."""
     rng = Rng(0)  # inference is deterministic; the stream is never used
+    # Parameters are fixed for this call only, so the character encodings
+    # are shared across the split and dropped on return.
+    char_cache: dict = {}
     by_doc: dict[str, list[RelationInstance]] = {}
     for inst in split.instances:
         by_doc.setdefault(inst.pmid, []).append(inst)
@@ -159,7 +162,8 @@ def predict_pairs(split: DataSplit, params: ModelParams,
         labels = {}
         for inst in instances:
             fitted = fit_instance(inst, n)
-            labels[inst.uid] = model.forward(fitted, params, rng, training=False).label
+            labels[inst.uid] = model.forward(fitted, params, rng, training=False,
+                                             char_cache=char_cache).label
         predicted[doc.pmid] = evaluation.aggregate_document(doc, instances, labels,
                                                             train_relations)
     return predicted
@@ -184,8 +188,15 @@ def _minibatch_step(batch: list[RelationInstance], params: ModelParams,
     return batch_loss.item()
 
 
-def _snapshot(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: t.data.copy() for name, t in params.named_tensors()}
+def _snapshot(params: ModelParams,
+              best: dict[str, np.ndarray] | None) -> dict[str, np.ndarray]:
+    """Copies of every parameter, written into `best`'s arrays when there
+    is one, so training never holds two snapshots at once."""
+    if best is None:
+        return {name: t.data.copy() for name, t in params.named_tensors()}
+    for name, t in params.named_tensors():
+        np.copyto(best[name], t.data)
+    return best
 
 
 def _restore(params: ModelParams, snapshot: dict[str, np.ndarray]) -> None:
@@ -258,7 +269,7 @@ def train(config: TrainConfig, train_data: DataSplit, dev_data: DataSplit | None
             if report.best_f1 is None or f1 > report.best_f1:
                 report.best_f1 = f1
                 report.best_epoch = epoch
-                best = _snapshot(params)
+                best = _snapshot(params, best)
             log.info("epoch %d loss %.4f dev P/R/F1 %.1f/%.1f/%.1f",
                      epoch, epoch_loss, precision, recall, f1)
         else:
@@ -290,6 +301,16 @@ def default_grid(base: TrainConfig, learning_rates=GRID_LEARNING_RATES,
             for rho in dropouts]
 
 
+class GridSearchError(RuntimeError):
+    """No configuration completed with a dev score; carries the reports
+    and failures the search has."""
+
+    def __init__(self, reports: list[TrainReport], failures: list[tuple[TrainConfig, str]]):
+        super().__init__("grid search: every configuration failed or produced no dev score")
+        self.reports = reports
+        self.failures = failures
+
+
 @dataclass
 class GridResult:
     best_config: TrainConfig
@@ -306,9 +327,10 @@ def grid_search(grid: list[TrainConfig], train_data: DataSplit, dev_data: DataSp
 
     Per-config seeds derive deterministically from the base seed and the
     configuration index.  A failing configuration is recorded and skipped,
-    and an aborted one is never the winner; the search fails only if no
-    configuration completes with a dev score.  Ties break toward the
-    lexicographically smaller (learning rate, filters, dropout).
+    and an aborted one is never the winner; if no configuration completes
+    with a dev score, GridSearchError carries the reports and failures.
+    Ties break toward the lexicographically smaller (learning rate,
+    filters, dropout).
     """
     if not grid:
         raise ValueError("empty grid")
@@ -329,7 +351,7 @@ def grid_search(grid: list[TrainConfig], train_data: DataSplit, dev_data: DataSp
 
     scored = [r for r in reports if r.best_f1 is not None and not r.status.startswith("aborted")]
     if not scored:
-        raise RuntimeError("grid search: every configuration failed or produced no dev score")
+        raise GridSearchError(reports, failures)
     best = min(scored, key=lambda r: (-r.best_f1, r.config.sort_key()))
     return GridResult(best_config=best.config, best_report=best, reports=reports,
                       failures=failures)

@@ -11,10 +11,18 @@ backward pass, and backward() must run before any operand's data is
 mutated in place (backward rules read operand data live).  There is no
 global tape: the graph lives in the result tensors themselves, so
 independent graphs never share state.
+
+Inference builds no graph: inside `with no_grad():` every operation
+returns a plain result that records no operands and no backward rule, so
+nothing stays reachable once the result is read.  Values are the same
+arithmetic as with the graph, bit for bit.  The switch is process-wide
+(not per thread) and the previous state comes back when the block exits,
+also on an exception.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 from typing import Callable, Sequence
 
@@ -27,12 +35,25 @@ log = logging.getLogger(__name__)
 LOG_CLAMP = 1e-12
 
 _debug_numerics = False
+_grad_enabled = True
 
 
 def set_debug_numerics(enabled: bool) -> None:
     """Toggle finiteness assertions on every operation output."""
     global _debug_numerics
     _debug_numerics = bool(enabled)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Operations inside the block record no graph."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class ShapeError(ValueError):
@@ -122,8 +143,8 @@ def graph_nodes(root: Tensor) -> list[Tensor]:
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> Tensor:
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
-    if out.requires_grad:
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
     out.op = op

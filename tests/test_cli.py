@@ -89,6 +89,25 @@ class TestTrainCommand:
         assert code == EXIT_PARSE
         assert "parse error" in capsys.readouterr().err
 
+    def test_short_vector_line_is_parse_error(self, corpora, capsys):
+        vectors = corpora["dir"] / "vectors.txt"
+        vectors.write_text("chem0" + " 0.125" * 200 + "\ninduced 0.5\n")
+        code = main(train_args(corpora, corpora["dir"] / "model.bin", ["--emb", str(vectors)]))
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"parse error: {vectors}: line 2: expected 200 values, got 1" in err
+
+    def test_vector_width_mismatch_is_parse_error(self, corpora, capsys):
+        # Well-formed, but 3-wide where the word table is 200 wide.
+        vectors = corpora["dir"] / "vectors.txt"
+        vectors.write_text("chem0 0.1 0.2 0.3\ninduced 0.4 0.5 0.6\n")
+        code = main(train_args(corpora, corpora["dir"] / "model.bin", ["--emb", str(vectors)]))
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"parse error: {vectors}: line 1: expected 200 values, got 3" in err
+
     def test_missing_required_flag_is_config_error(self, corpora, capsys):
         assert main(["train", "--train", corpora["train"]]) == EXIT_CONFIG
 
@@ -207,6 +226,25 @@ class TestGridSearchCommand:
         text = report.read_text()
         assert text.startswith("winner lambda=0.0005 filters=4 dropout=0.0")
         assert (tmp_path / "grid-models" / "config-000.model").exists()
+
+    def test_no_scored_configuration_writes_report_and_exits_3(self, corpora, tmp_path, capsys):
+        # A NaN vector aborts every configuration in its first epoch.
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("chem0 nan" + " 0.125" * 199 + "\n")
+        config = tmp_path / "grid.cfg"
+        config.write_text("grid_lambdas = 5e-4,1e-4\ngrid_filters = 4\ngrid_dropouts = 0.0\n")
+        report = tmp_path / "grid.txt"
+        code = main(["gridsearch", "--config", str(config), "--emb", str(vectors),
+                     "--train", corpora["train"], "--dev", corpora["dev"],
+                     "--model-out", str(tmp_path / "grid-models"),
+                     "--report", str(report), "--epochs", "1", "--seed", "3"])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "no dev score" in err
+        text = report.read_text()
+        assert text.startswith("winner -\n")
+        assert text.count("status aborted") == 2
 
     def test_default_grid_is_the_paper_grid(self, corpora, monkeypatch):
         class Captured(Exception):

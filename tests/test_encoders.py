@@ -12,6 +12,7 @@ from cdrex.encoders import (
     PAD_WORD,
     UNK_WORD,
     Tensor,
+    VectorFormatError,
     build_input_matrix,
     char_bilstm_encode,
     char_bilstm_params,
@@ -285,6 +286,12 @@ class TestLoadWordVectors:
         p.write_text("alpha 1 2\nbeta 3 4\n")
         vecs = load_word_vectors(p, vocab={"beta"})
         assert set(vecs) == {"beta"}
+
+    def test_non_utf8_line_names_line(self, tmp_path):
+        p = tmp_path / "vecs.txt"
+        p.write_bytes(b"alpha 1 2\nb\xe9ta 3 4\n")
+        with pytest.raises(VectorFormatError, match=f"{p}: line 2: not UTF-8"):
+            load_word_vectors(p)
 
     def test_dim_mismatch_names_line(self, tmp_path):
         p = tmp_path / "vecs.txt"

@@ -1,11 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdrex.corpus import Document, Mention, RelationInstance
 from cdrex.evaluation import (
+    BOOTSTRAP_BLOCK,
     EvalReport,
     aggregate_document,
     bootstrap_test,
@@ -221,6 +223,93 @@ class TestBootstrap:
 
         sampled_p = bootstrap_test(sys_a, sys_b, gold, iterations=10_000, rng=Rng(13))
         assert abs(sampled_p - exact_p) <= 0.02
+
+
+def scalar_bootstrap(system_a, system_b, gold, iterations, rng):
+    """The one-replicate-at-a-time bootstrap loop, kept as the oracle of
+    the blocked bootstrap_test."""
+    pmids = sorted(set(gold) | set(system_a) | set(system_b))
+
+    def counts(system):
+        tp, fp, fn = (np.zeros(len(pmids)) for _ in range(3))
+        for i, pmid in enumerate(pmids):
+            g, p = gold.get(pmid, set()), system.get(pmid, set())
+            tp[i], fp[i], fn[i] = len(g & p), len(p - g), len(g - p)
+        return tp, fp, fn
+
+    def f1(tp, fp, fn):
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        return f_score(precision, recall)
+
+    a_tp, a_fp, a_fn = counts(system_a)
+    b_tp, b_fp, b_fn = counts(system_b)
+    observed = f1(a_tp.sum(), a_fp.sum(), a_fn.sum()) - f1(b_tp.sum(), b_fp.sum(), b_fn.sum())
+    if observed == 0.0:
+        return 1.0
+    sign = 1.0 if observed > 0 else -1.0
+    n = len(pmids)
+    losses = 0
+    for _ in range(iterations):
+        idx = np.minimum((rng.fill_uniform((n,), 0.0, 1.0) * n).astype(np.intp), n - 1)
+        delta = (f1(a_tp[idx].sum(), a_fp[idx].sum(), a_fn[idx].sum())
+                 - f1(b_tp[idx].sum(), b_fp[idx].sum(), b_fn[idx].sum()))
+        if sign * delta <= 0.0:
+            losses += 1
+    return losses / iterations
+
+
+def random_systems(seed: int, docs: int):
+    """Gold and two systems over `docs` documents, some of them empty."""
+    rng = Rng(seed)
+
+    def pairs(k):
+        return {(f"C{rng.randbelow(3)}", f"D{rng.randbelow(3)}") for _ in range(k)}
+
+    gold, a, b = {}, {}, {}
+    for i in range(docs):
+        pmid = str(i)
+        gold[pmid] = pairs(rng.randbelow(4))
+        a[pmid] = pairs(rng.randbelow(3)) | {p for p in sorted(gold[pmid]) if rng.random() < 0.6}
+        b[pmid] = pairs(rng.randbelow(3)) | {p for p in sorted(gold[pmid]) if rng.random() < 0.4}
+    return gold, a, b
+
+
+class TestBlockedBootstrap:
+    @pytest.mark.parametrize("seed,docs", [(0, 1), (1, 2), (2, 3), (3, 7), (4, 12), (5, 25),
+                                           (6, 37), (7, 50)])
+    def test_matches_the_scalar_loop(self, seed, docs):
+        gold, a, b = random_systems(seed, docs)
+        iterations = BOOTSTRAP_BLOCK + 37  # a partial last block
+        rng, oracle_rng = Rng(seed).derive("bootstrap"), Rng(seed).derive("bootstrap")
+        assert bootstrap_test(a, b, gold, iterations=iterations, rng=rng) == \
+            scalar_bootstrap(a, b, gold, iterations, oracle_rng)
+        # The same stream is consumed: a later draw agrees.
+        assert rng.next_u64() == oracle_rng.next_u64()
+
+    @pytest.mark.parametrize("iterations", [100, BOOTSTRAP_BLOCK - 1, BOOTSTRAP_BLOCK,
+                                            2 * BOOTSTRAP_BLOCK + 1])
+    def test_iteration_counts_around_the_block_size(self, iterations):
+        gold, a, b = random_systems(11, 9)
+        assert bootstrap_test(a, b, gold, iterations=iterations, rng=Rng(3)) == \
+            scalar_bootstrap(a, b, gold, iterations, Rng(3))
+
+    def test_empty_documents_and_tied_replicates(self):
+        # Documents where both systems agree tie every replicate drawn
+        # only from them; empty documents contribute nothing.
+        gold = {"0": {("C", "D")}, "1": set(), "2": set(), "3": {("C", "E")}}
+        a = {"0": {("C", "D")}, "1": set(), "2": set(), "3": {("C", "E")}}
+        b = {"0": set(), "1": set(), "2": set(), "3": {("C", "E")}, "4": set()}
+        for seed in range(4):
+            assert bootstrap_test(a, b, gold, iterations=500, rng=Rng(seed)) == \
+                scalar_bootstrap(a, b, gold, 500, Rng(seed))
+
+    def test_systems_tied_on_f1_give_p_one(self):
+        gold = {"0": {("C", "D")}, "1": {("C", "E")}}
+        a = {"0": {("C", "D")}, "1": set()}
+        b = {"0": set(), "1": {("C", "E")}}
+        assert bootstrap_test(a, b, gold, iterations=300, rng=Rng(1)) == 1.0
+        assert scalar_bootstrap(a, b, gold, 300, Rng(1)) == 1.0
 
 
 class TestRenderReport:

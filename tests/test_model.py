@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cdrex import model as M
 from cdrex import tensor as T
 from cdrex.corpus import RelationInstance, Vocab
 from cdrex.model import (
@@ -76,6 +77,51 @@ class TestForward:
         params = tiny_model(variant="cnn")
         assert params.char_params is None
         assert params.input_dim == 8 + 3 + 3
+
+
+def unit_scale(params, seed=5):
+    """Parameters drawn from [-0.5, 0.5], so predictions vary by instance."""
+    fill = Rng(seed)
+    for _, t in params.named_tensors():
+        t.data[:] = fill.fill_uniform(t.shape, -0.5, 0.5)
+    return params
+
+
+class TestGraphFreeForward:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_output_has_no_parents(self, variant, monkeypatch):
+        params = tiny_model(variant=variant)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(class_probabilities(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(M, "class_probabilities", spy)
+        forward(make_instance(), params, Rng(1))
+        assert len(seen) == 1
+        assert seen[0]._parents == () and not seen[0].requires_grad
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_shared_cache_matches_the_graph_oracle(self, variant):
+        params = unit_scale(tiny_model(variant=variant))
+        instances = [make_instance(),
+                     make_instance(tokens=("mice", "tumors", "aspirin"), i1=2, i2=1, uid="doc1#1"),
+                     make_instance(tokens=("headache", "Aspirin"), i1=1, i2=0, uid="doc1#2"),
+                     make_instance(uid="doc1#3")]
+        cache = {}
+        for inst in instances:
+            pred = forward(inst, params, Rng(1), char_cache=cache)
+            # The oracle encodes each instance's forms afresh, with the graph.
+            oracle = class_probabilities(inst, params, Rng(1), training=False)
+            assert oracle.requires_grad
+            assert np.array_equal(pred.probabilities, oracle.data)
+            assert pred.label == int(np.argmax(oracle.data))
+        if variant == "cnn":
+            assert cache == {}
+        else:
+            assert set(cache) == {"aspirin", "causes", "headache", "mice", "tumors", "Aspirin",
+                                  "PAD"}
 
 
 class TestLoss:

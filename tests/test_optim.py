@@ -3,9 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cdrex import encoders
 from cdrex import model as M
 from cdrex import optim
-from cdrex.corpus import build_instances, build_vocab, parse_pubtator
+from cdrex.corpus import build_instances, build_vocab, fit_instance, parse_pubtator
+from cdrex.evaluation import aggregate_document
 from cdrex.optim import (
     DataSplit,
     GRID_DROPOUTS,
@@ -336,6 +338,117 @@ def test_predict_pairs_covers_every_document():
     _, params = train(tiny_config(epochs=1), split, None)
     pairs = predict_pairs(split, params, training_relations(split.documents))
     assert set(pairs) == {doc.pmid for doc in split.documents}
+
+
+def inference_model(variant: str, split: DataSplit) -> M.ModelParams:
+    """A small model with unit-scale parameters and its output bias set
+    so that about half the split's instances are labelled positive."""
+    vocab = build_vocab(split.documents, split.instances)
+    params = M.init_model(vocab, variant, Rng(3), m=6, k=2, word_dim=10, pos_dim=3,
+                          char_dim=4, char_filters=4, char_window=2, lstm_units=3)
+    fill = Rng(4)
+    for _, t in params.named_tensors():
+        t.data[:] = fill.fill_uniform(t.shape, -0.5, 0.5)
+    margins = [np.diff(np.log(M.forward(fit_instance(inst, vocab.n), params, Rng(0))
+                              .probabilities))[0] for inst in split.instances]
+    params.b1.data[0] += float(np.median(margins))
+    return params
+
+
+class TestGraphFreeInference:
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_predict_pairs_matches_graph_oracle(self, variant, monkeypatch):
+        split = synthetic_split(8)
+        params = inference_model(variant, split)
+        seen = {}
+        real_forward = M.forward
+
+        def forward(inst, *args, **kwargs):
+            seen[inst.uid] = (inst, real_forward(inst, *args, **kwargs))
+            return seen[inst.uid][1]
+
+        monkeypatch.setattr(M, "forward", forward)
+        train_rel = training_relations(split.documents[:4])
+        pairs = predict_pairs(split, params, train_rel)
+        assert set(seen) == {inst.uid for inst in split.instances}
+        labels = {}
+        for uid, (fitted, pred) in seen.items():
+            # The oracle: a per-instance encoding with the graph enabled.
+            oracle = M.class_probabilities(fitted, params, Rng(0), training=False)
+            assert oracle.requires_grad
+            assert np.array_equal(pred.probabilities, oracle.data)
+            labels[uid] = int(np.argmax(oracle.data))
+            assert pred.label == labels[uid]
+        assert set(labels.values()) == {0, 1}
+        for doc in split.documents:
+            instances = [inst for inst in split.instances if inst.pmid == doc.pmid]
+            expected = aggregate_document(doc, instances, {i.uid: labels[i.uid] for i in instances},
+                                          train_rel)
+            assert pairs[doc.pmid] == expected
+
+    @pytest.mark.parametrize("variant", ["cnn+cnnchar", "cnn+lstmchar"])
+    def test_each_form_encoded_once_per_call(self, variant, monkeypatch):
+        split = synthetic_split(8)
+        params = inference_model(variant, split)
+        encoded = []
+        real_encode = encoders.encode_chars
+
+        def encode_chars(word, *args):
+            encoded.append(word)
+            return real_encode(word, *args)
+
+        monkeypatch.setattr(encoders, "encode_chars", encode_chars)
+        n = params.hyper.n
+        forms = set()
+        for inst in split.instances:
+            tokens = fit_instance(inst, n).tokens
+            forms |= set(tokens + [encoders.PAD_WORD] * (n - len(tokens)))
+        predict_pairs(split, params, set())
+        assert sorted(encoded) == sorted(forms)
+        # Nothing is kept between calls: parameters may change in between.
+        predict_pairs(split, params, set())
+        assert sorted(encoded) == sorted(2 * list(forms))
+
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_loss_gradients_unchanged_by_inference(self, variant):
+        split = synthetic_split(8)
+        params = inference_model(variant, split)
+        named = params.named_tensors()
+        batch = [fit_instance(inst, params.hyper.n) for inst in split.instances[:4]]
+
+        def gradients():
+            zero_grads(named)
+            M.loss(batch, params, Rng(0)).backward()
+            return {name: t.grad.copy() for name, t in named}
+
+        before = gradients()
+        predict_pairs(split, params, set())
+        after = gradients()
+        assert set(after) == {name for name, _ in named}
+        for name, _ in named:
+            assert np.array_equal(after[name], before[name]), name
+
+
+def test_best_snapshot_is_reused_across_improvements(monkeypatch):
+    # Dev F1 improves in every epoch; each improvement overwrites the one
+    # snapshot in place rather than allocating another.
+    scores = iter([10.0, 20.0, 30.0])
+    monkeypatch.setattr(optim, "dev_f1", lambda *args: (0.0, 0.0, next(scores)))
+    snapshots = []
+    real_snapshot = optim._snapshot
+
+    def snapshot(params, best):
+        out = real_snapshot(params, best)
+        snapshots.append(out)
+        return out
+
+    monkeypatch.setattr(optim, "_snapshot", snapshot)
+    split = synthetic_split(6)
+    report, params = train(tiny_config(epochs=3), split, split)
+    assert report.best_epoch == 3
+    assert len(snapshots) == 3 and all(s is snapshots[0] for s in snapshots)
+    for name, t in params.named_tensors():
+        assert np.array_equal(snapshots[0][name], t.data), name
 
 
 def test_dev_f1_perfect_when_predictions_match_gold():

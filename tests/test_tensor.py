@@ -256,6 +256,48 @@ class TestStructural:
 
 
 # ---------------------------------------------------------------------------
+# no_grad
+
+
+class TestNoGrad:
+    def test_results_record_no_graph(self):
+        w = t([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+        x = t([1.0, 2.0], requires_grad=True)
+        with T.no_grad():
+            out = softmax(add(matmul(w, x), x))
+        assert not out.requires_grad
+        assert out._parents == () and out._backward_fn is None
+
+    def test_values_match_the_graph_path(self):
+        rng = Rng(4)
+        inp = t(rng.fill_uniform((6, 3), -1, 1), requires_grad=True)
+        filt = t(rng.fill_uniform((4, 2, 3), -1, 1), requires_grad=True)
+        bias = t(rng.fill_uniform((4,), -1, 1), requires_grad=True)
+
+        def f():
+            return max_over_time(relu(conv1d_valid(inp, filt, bias)))
+
+        with T.no_grad():
+            free = f()
+        np.testing.assert_array_equal(free.data, f().data)
+
+    def test_state_restored_after_exception(self):
+        a = t([1.0], requires_grad=True)
+        with pytest.raises(ShapeError):
+            with T.no_grad():
+                add(a, t([1.0, 2.0]))
+        assert add(a, a).requires_grad
+
+    def test_nested_contexts_restore_the_outer_state(self):
+        a = t([1.0], requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert not add(a, a).requires_grad
+        assert add(a, a)._parents == (a, a)
+
+
+# ---------------------------------------------------------------------------
 # grad_check
 
 
