@@ -209,8 +209,20 @@ def _require(cfg: RunConfig, *keys: str) -> None:
 
 
 def _load_documents(path: str) -> list[corpus.Document]:
-    with open(path, encoding="utf-8") as fh:
-        return corpus.parse_pubtator(fh)
+    """Parse a PubTator file; bytes that are not UTF-8 raise ParseError
+    naming the file and the line that holds them."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return corpus.parse_pubtator(fh)
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise corpus.ParseError(f"{path}: line {lineno}: not UTF-8 text") from None
+        raise
 
 
 def _load_split(path: str) -> optim.DataSplit:

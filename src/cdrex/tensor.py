@@ -94,9 +94,15 @@ class Tensor:
         return float(self.data)
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add `g` (of the data's shape) into `grad`.  The first
+        contribution is stored as `g + 0.0`, a fresh array with the bits
+        of `zeros + g` (-0.0 becomes +0.0), without a zero fill."""
+        if g.shape != self.data.shape:
+            raise ShapeError(f"gradient of shape {g.shape} for data of shape {self.data.shape}")
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.add(g, 0.0, dtype=np.float64)
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Reverse-mode gradient pass from a scalar root."""

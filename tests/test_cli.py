@@ -89,6 +89,17 @@ class TestTrainCommand:
         assert code == EXIT_PARSE
         assert "parse error" in capsys.readouterr().err
 
+    def test_non_utf8_corpus_is_parse_error(self, corpora, capsys):
+        bad = corpora["dir"] / "latin1.pubtator"
+        bad.write_bytes(synthetic_corpus_text(2).encode() + "7|t|Caf\xe9ine.\n".encode("latin-1"))
+        code = main(["train", "--train", str(bad), "--dev", corpora["dev"],
+                     "--model-out", str(corpora["dir"] / "m.bin")])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        lineno = synthetic_corpus_text(2).count("\n") + 1
+        assert f"parse error: {bad}: line {lineno}: not UTF-8 text" in err
+
     def test_short_vector_line_is_parse_error(self, corpora, capsys):
         vectors = corpora["dir"] / "vectors.txt"
         vectors.write_text("chem0" + " 0.125" * 200 + "\ninduced 0.5\n")
@@ -186,6 +197,17 @@ class TestEvalCommand:
                      "--train", corpora["train"]])
         assert code == EXIT_VOCAB
         assert "vocabulary mismatch" in capsys.readouterr().err
+
+    def test_non_utf8_test_corpus_is_parse_error(self, corpora, capsys, tmp_path):
+        model_path = self.trained_model(corpora, capsys)
+        bad = tmp_path / "latin1.pubtator"
+        bad.write_bytes("9|t|\xe9tude.\n9|a|Plain.\n".encode("latin-1"))
+        code = main(["eval", "--model-in", str(model_path), "--test", str(bad),
+                     "--train", corpora["train"]])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"parse error: {bad}: line 1: not UTF-8 text" in err
 
     def test_model_format_error_exits_1(self, corpora, tmp_path):
         bogus = tmp_path / "bogus.bin"

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from cdrex.optim import (
     zero_grads,
 )
 from cdrex.rng import Rng
-from cdrex.tensor import NumericsError, Tensor
+from cdrex.tensor import NumericsError, Tensor, graph_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +84,86 @@ class TestNadamStep:
         nadam_step([("x", x)], state)
         nadam_step([("x", x)], state)
         assert state.step == 2
+
+
+def reference_nadam_step(named_params, state):
+    """The expression-form update, one fresh array per operation: the
+    oracle for the scratch-array `nadam_step`."""
+    state.step += 1
+    t = state.step
+    b1, b2 = state.beta1, state.beta2
+    bias1 = 1.0 - b1 ** t
+    bias2 = 1.0 - b2 ** t
+    for name, tensor in named_params:
+        g = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
+        m = state.first.setdefault(name, np.zeros_like(tensor.data))
+        v = state.second.setdefault(name, np.zeros_like(tensor.data))
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / bias1
+        v_hat = v / bias2
+        update = (b1 * m_hat + (1.0 - b1) * g / bias1) / (np.sqrt(v_hat) + state.eps)
+        tensor.data -= state.learning_rate * update
+    return state
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestNadamMatchesExpressionForm:
+    SHAPES = {"scalar": (), "vector": (7,), "matrix": (5, 4), "filters": (3, 2, 4), "unused": (6,),
+              "extremes": (4,)}
+    # Gradients whose squares underflow to zero or near the top of the range.
+    EXTREMES = np.array([1e-300, -3e-300, 1e+150, -2e+150])
+
+    @staticmethod
+    def gradient(rng: np.random.Generator, shape, step: int) -> np.ndarray:
+        """Ordinary values mixed with zeros, -0.0, tiny (~1e-300) and huge
+        (~1e+150) entries, whose squares underflow to subnormals or zero
+        and approach the top of the float range."""
+        g = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3, size=shape)
+        kind = rng.integers(0, 5, size=shape)
+        g = np.where(kind == 1, 0.0, g)
+        g = np.where(kind == 2, -0.0, g)
+        g = np.where(kind == 3, g * 1e-300, g)
+        g = np.where(kind == 4, g * 1e+150, g)
+        if step % 3 == 2:
+            g = np.zeros(shape) * -1.0  # an all-(-0.0) gradient
+        return np.asarray(g)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("learning_rate", [1e-4, 0.5])
+    def test_bit_identical_to_reference(self, seed, learning_rate):
+        rng = np.random.default_rng(seed)
+        init = {name: np.asarray(rng.normal(size=shape)) for name, shape in self.SHAPES.items()}
+        init["vector"][:3] = [0.0, -0.0, 1e-300]
+        sides = []
+        for _ in range(2):
+            named = [(name, Tensor(data.copy(), requires_grad=True)) for name, data in init.items()]
+            sides.append((named, NadamState(learning_rate=learning_rate)))
+        (fast, fast_state), (ref, ref_state) = sides
+        for step in range(8):
+            for (name, a), (_, b) in zip(fast, ref):
+                if name == "unused":  # never reached by backward: no gradient
+                    a.grad = b.grad = None
+                elif name == "extremes":
+                    a.grad, b.grad = self.EXTREMES * (step + 1), self.EXTREMES * (step + 1)
+                else:
+                    a.grad = self.gradient(rng, a.shape, step)
+                    b.grad = a.grad.copy()
+            nadam_step(fast, fast_state)
+            reference_nadam_step(ref, ref_state)
+            assert fast_state.step == ref_state.step == step + 1
+            for (name, a), (_, b) in zip(fast, ref):
+                assert same_bits(a.data, b.data), (step, name)
+                assert same_bits(fast_state.first[name], ref_state.first[name]), (step, name)
+                assert same_bits(fast_state.second[name], ref_state.second[name]), (step, name)
+        # The extreme entries reached the ranges they are meant to cover.
+        m, v = fast_state.first["extremes"], fast_state.second["extremes"]
+        assert 0.0 < abs(m[0]) < 1e-299 and v[0] == 0.0 and v[2] > 1e+290
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +508,66 @@ class TestGraphFreeInference:
         assert set(after) == {name for name, _ in named}
         for name, _ in named:
             assert np.array_equal(after[name], before[name]), name
+
+
+class TestGcPause:
+    """Each minibatch step runs with the cyclic collector off and gives
+    the caller's state back, which is safe only while the training graph
+    has no reference cycles."""
+
+    def test_paused_inside_loss_and_nadam(self, monkeypatch):
+        seen = []
+        real_loss, real_nadam = M.loss, optim.nadam_step
+
+        def loss(*args, **kwargs):
+            seen.append(("loss", gc.isenabled()))
+            return real_loss(*args, **kwargs)
+
+        def nadam(named, state):
+            seen.append(("nadam", gc.isenabled()))
+            return real_nadam(named, state)
+
+        monkeypatch.setattr(M, "loss", loss)
+        monkeypatch.setattr(optim, "nadam_step", nadam)
+        assert gc.isenabled()
+        report, _ = train(tiny_config(epochs=2), synthetic_split(6), synthetic_split(4, start=6))
+        assert report.status == "trained"
+        assert [kind for kind, _ in seen] == ["loss", "nadam"] * 4
+        assert not any(enabled for _, enabled in seen)
+        assert gc.isenabled()
+
+    def test_restored_after_a_failing_step(self, monkeypatch):
+        fail_nadam_after(monkeypatch, 1)
+        report, _ = train(tiny_config(epochs=2), synthetic_split(6), None)
+        assert report.status.startswith("aborted")
+        assert gc.isenabled()
+
+    def test_caller_disabled_collector_stays_disabled(self):
+        gc.disable()
+        try:
+            report, _ = train(tiny_config(epochs=1), synthetic_split(6), None)
+            assert report.status == "trained"
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_training_graph_has_no_reference_cycles(self, variant):
+        split = synthetic_split(8)
+        params = inference_model(variant, split)
+        named = params.named_tensors()
+        batch = [fit_instance(inst, params.hyper.n) for inst in split.instances[:4]]
+        gc.collect()
+        gc.disable()
+        try:
+            zero_grads(named)
+            root = M.loss(batch, params, Rng(0))
+            root.backward()
+            assert len(graph_nodes(root)) > 2 * len(named)
+            del root
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_best_snapshot_is_reused_across_improvements(monkeypatch):

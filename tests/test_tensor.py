@@ -255,6 +255,35 @@ class TestStructural:
         np.testing.assert_allclose(x.grad, [8.0])
 
 
+class TestAccumulateGrad:
+    def test_first_touch_has_the_bits_of_zeros_plus_g(self):
+        g = np.array([[-0.0, 0.0, -1.5], [5e-324, -1e+300, np.inf]])
+        x = t(np.ones_like(g), requires_grad=True)
+        x.accumulate_grad(g)
+        expected = np.zeros_like(x.data) + g
+        assert x.grad.tobytes() == expected.tobytes()
+        assert not np.signbit(x.grad[0, 0])  # -0.0 arrives as +0.0
+
+    def test_stored_gradient_does_not_alias_g(self):
+        g = np.array([1.0, 2.0])
+        x = t([0.0, 0.0], requires_grad=True)
+        x.accumulate_grad(g)
+        assert not np.shares_memory(x.grad, g)
+        x.accumulate_grad(np.array([0.5, 0.5]))
+        np.testing.assert_array_equal(g, [1.0, 2.0])
+        np.testing.assert_array_equal(x.grad, [1.5, 2.5])
+
+    @pytest.mark.parametrize("first", [False, True])
+    def test_shape_mismatch_raises(self, first):
+        x = t([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        if not first:
+            x.accumulate_grad(np.ones((2, 2)))
+        with pytest.raises(ShapeError):
+            x.accumulate_grad(np.ones(2))  # would broadcast over the rows
+        with pytest.raises(ShapeError):
+            x.accumulate_grad(np.asarray(1.0))
+
+
 # ---------------------------------------------------------------------------
 # no_grad
 
