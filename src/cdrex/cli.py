@@ -418,6 +418,15 @@ def _op_checks(rng: Rng) -> float:
 
     logits = T.Tensor(rng.fill_uniform((3,), -1, 1), requires_grad=True)
     check(lambda: T.nll_loss(T.softmax(logits), 1), [logits])
+
+    # Three sequences of lengths 1, 2 and 5 over 3-wide inputs, 2 units.
+    seqs = T.Tensor(rng.fill_uniform((8, 3), -1, 1), requires_grad=True)
+    lstm = [T.Tensor(rng.fill_uniform(shape, -1, 1), requires_grad=True)
+            for shape in ((3, 8), (2, 8), (8,))]
+    mix = T.Tensor(rng.fill_uniform((3, 2), -1, 1))
+    for reverse in (False, True):
+        check(lambda r=reverse: T.sum_all(
+            T.mul(T.lstm_final_states(seqs, [1, 2, 5], *lstm, r), mix)), [seqs] + lstm)
     return worst
 
 

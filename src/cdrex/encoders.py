@@ -210,31 +210,21 @@ def char_cnn_encode(word: str, chartable: EmbeddingTable, params: CharEncoderPar
     return T.max_over_time(fm)
 
 
-def _lstm_final_state(xproj: Tensor, steps: range, p: LstmParams) -> Tensor:
-    units = p.units
-    h = Tensor(np.zeros(units))
-    c = Tensor(np.zeros(units))
-    for t in steps:
-        gates = T.add(T.add(T.row(xproj, t), T.matmul(h, p.wh)), p.b)
-        i = T.sigmoid(T.slice_last(gates, 0, units))
-        f = T.sigmoid(T.slice_last(gates, units, 2 * units))
-        o = T.sigmoid(T.slice_last(gates, 2 * units, 3 * units))
-        g = T.tanh(T.slice_last(gates, 3 * units, 4 * units))
-        c = T.add(T.mul(f, c), T.mul(i, g))
-        h = T.mul(o, T.tanh(c))
-    return h
+def char_bilstm_encode_forms(words: list[str], chartable: EmbeddingTable,
+                             params: CharEncoderParams) -> Tensor:
+    """(W, 2u) encodings of W words: row w is the final state of a forward
+    LSTM over word w's characters, concatenated with the final state of a
+    reverse LSTM.  Each direction runs over all the words as one op."""
+    ids = [_char_ids(word, chartable) for word in words]
+    mat = T.gather(chartable.weights, [i for word_ids in ids for i in word_ids])
+    lengths = [len(word_ids) for word_ids in ids]
+    return T.concat([T.lstm_final_states(mat, lengths, p.wx, p.wh, p.b, reverse)
+                     for p, reverse in ((params.fwd, False), (params.bwd, True))])
 
 
 def char_bilstm_encode(word: str, chartable: EmbeddingTable, params: CharEncoderParams) -> Tensor:
-    """Final hidden state of a forward LSTM over the characters,
-    concatenated with the final state of a reverse LSTM."""
-    mat = T.gather(chartable.weights, _char_ids(word, chartable))
-    l = mat.shape[0]
-    fwd_proj = T.matmul(mat, params.fwd.wx)
-    bwd_proj = T.matmul(mat, params.bwd.wx)
-    h_fwd = _lstm_final_state(fwd_proj, range(l), params.fwd)
-    h_bwd = _lstm_final_state(bwd_proj, range(l - 1, -1, -1), params.bwd)
-    return T.concat([h_fwd, h_bwd])
+    """The (2u,) encoding of one word; see `char_bilstm_encode_forms`."""
+    return T.row(char_bilstm_encode_forms([word], chartable, params), 0)
 
 
 def encode_chars(word: str, chartable: EmbeddingTable, params: CharEncoderParams) -> Tensor:
@@ -262,11 +252,12 @@ def build_input_matrix(instance, tables: EmbeddingSet,
     original tokens.
 
     `char_cache` maps surface forms to their character encodings, and only
-    forms missing from it are encoded.  Without one the instance gets a
-    fresh dict, so each distinct form is encoded once and its gradient
-    flows through the shared subgraph into every row that reuses it.  A
-    dict shared across instances must not outlive the parameter values it
-    was computed with (one inference pass).
+    forms missing from it are encoded.  Without one each distinct form of
+    the instance is encoded once, and its gradient flows through the shared
+    subgraph into every row that reuses it; the BiLSTM encodes all of them
+    with one `lstm_final_states` node per direction.  A dict shared across
+    instances must not outlive the parameter values it was computed with
+    (one inference pass).
     """
     n = tables.n
     real = list(instance.tokens)
@@ -293,15 +284,17 @@ def build_input_matrix(instance, tables: EmbeddingSet,
     if char_params is not None:
         if tables.char is None:
             raise ValueError("character encoder given but no character table")
-        cache = {} if char_cache is None else char_cache
         forms = list(dict.fromkeys(padded))  # distinct, in order of first use
-        for tok in forms:
-            if tok not in cache:
-                cache[tok] = encode_chars(tok, tables.char, char_params)
+        if char_cache is None and char_params.variant == "bilstm":
+            encoded = char_bilstm_encode_forms(forms, tables.char, char_params)
+        else:
+            cache = {} if char_cache is None else char_cache
+            for tok in forms:
+                if tok not in cache:
+                    cache[tok] = encode_chars(tok, tables.char, char_params)
+            encoded = T.stack_rows([cache[tok] for tok in forms])
         slot = {tok: j for j, tok in enumerate(forms)}
-        char_part = T.gather(T.stack_rows([cache[tok] for tok in forms]),
-                             [slot[tok] for tok in padded])
-        parts.append(char_part)
+        parts.append(T.gather(encoded, [slot[tok] for tok in padded]))
 
     out = T.concat(parts)
     expected = tables.word.dim + tables.pos1.dim + tables.pos2.dim + (

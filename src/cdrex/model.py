@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -44,6 +45,7 @@ class ModelFormatError(ValueError):
     BAD_MAGIC = "bad_magic"
     TRUNCATED = "truncated"
     SHAPE_MISMATCH = "shape_mismatch"
+    BAD_METADATA = "bad_metadata"
 
     def __init__(self, code: str, message: str):
         super().__init__(message)
@@ -272,39 +274,95 @@ def _write_model(params: ModelParams, path) -> None:
             fh.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise ModelFormatError(ModelFormatError.TRUNCATED,
-                               f"truncated payload while reading {what}")
-    return buf
+class _Reader:
+    """Reads the rest of a model file, checking each length against the
+    bytes left before reading (and so before allocating) anything."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.left = os.fstat(fh.fileno()).st_size - fh.tell()
+
+    def take(self, count: int, what: str) -> bytes:
+        buf = self.fh.read(count) if count <= self.left else b""
+        if len(buf) != count:
+            raise ModelFormatError(ModelFormatError.TRUNCATED,
+                                   f"truncated payload while reading {what}")
+        self.left -= count
+        return buf
+
+    def u64(self, what: str) -> int:
+        return struct.unpack("<Q", self.take(8, what))[0]
+
+    def text(self, count: int, what: str) -> str:
+        try:
+            return self.take(count, what).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ModelFormatError(ModelFormatError.BAD_METADATA, f"{what} is not UTF-8") from None
 
 
 def load_model(path) -> ModelParams:
+    """Read a model written by `save_model`.  Any malformed content raises
+    ModelFormatError, never another exception."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ModelFormatError(ModelFormatError.BAD_MAGIC,
                                    f"bad magic {magic!r}, not a model file")
-        (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8, "metadata length"))
-        meta = json.loads(_read_exact(fh, meta_len, "metadata").decode("utf-8"))
-        (count,) = struct.unpack("<Q", _read_exact(fh, 8, "tensor count"))
+        reader = _Reader(fh)
+        meta_text = reader.text(reader.u64("metadata length"), "metadata")
+        try:
+            meta = json.loads(meta_text)
+        except json.JSONDecodeError as exc:
+            raise ModelFormatError(ModelFormatError.BAD_METADATA,
+                                   f"metadata is not JSON ({exc})") from None
+        count = reader.u64("tensor count")
         tensors: dict[str, Tensor] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<Q", _read_exact(fh, 8, "tensor name length"))
-            name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
-            (rank,) = struct.unpack("<Q", _read_exact(fh, 8, f"{name} rank"))
-            dims = [struct.unpack("<Q", _read_exact(fh, 8, f"{name} dims"))[0]
-                    for _ in range(rank)]
-            size = int(np.prod(dims)) if dims else 1
-            payload = _read_exact(fh, 8 * size, f"{name} payload")
-            data = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
+            name = reader.text(reader.u64("tensor name length"), "tensor name")
+            rank = reader.u64(f"{name} rank")
+            if 8 * rank > reader.left:
+                raise ModelFormatError(ModelFormatError.TRUNCATED, f"truncated {name} dims")
+            dims = [reader.u64(f"{name} dims") for _ in range(rank)]
+            payload = reader.take(8 * math.prod(dims), f"{name} payload")
+            try:
+                data = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
+            except ValueError as exc:  # e.g. a zero dim beside one too large to index
+                raise ModelFormatError(ModelFormatError.SHAPE_MISMATCH,
+                                       f"tensor {name} dims {dims}: {exc}") from None
+            if not np.all(np.isfinite(data)):
+                raise ModelFormatError(ModelFormatError.BAD_METADATA,
+                                       f"tensor {name} holds non-finite values")
             tensors[name] = Tensor(data, requires_grad=True)
-    return _assemble(meta, tensors)
+        if reader.left:
+            raise ModelFormatError(ModelFormatError.BAD_METADATA,
+                                   f"{reader.left} bytes after the last tensor")
+    try:
+        return _assemble(meta, tensors)
+    except ModelFormatError:
+        raise
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(ModelFormatError.BAD_METADATA,
+                               f"bad metadata ({type(exc).__name__}: {exc})") from None
 
 
-def _table_from(name: str, weights: Tensor, index: dict) -> EmbeddingTable:
+def _table_from(name: str, weights: Tensor, index: dict,
+                required: tuple[str, ...]) -> EmbeddingTable:
+    if weights.data.ndim != 2:
+        raise ModelFormatError(ModelFormatError.SHAPE_MISMATCH,
+                               f"{name} table has shape {weights.shape}, expected 2-D")
+    rows = weights.shape[0]
+    if not all(isinstance(i, int) and 0 <= i < rows for i in index.values()) or \
+            not all(key in index for key in required):
+        raise ModelFormatError(ModelFormatError.BAD_METADATA,
+                               f"{name} index does not fit its {rows}-row table")
     return EmbeddingTable(name, weights.shape[1], weights, index)
+
+
+def _positive_int(value, what: str) -> int:
+    if type(value) is not int or value < 1:
+        raise ModelFormatError(ModelFormatError.BAD_METADATA,
+                               f"{what} is {value!r}, expected an integer >= 1")
+    return value
 
 
 def _assemble(meta: dict, tensors: dict[str, Tensor]) -> ModelParams:
@@ -317,34 +375,49 @@ def _assemble(meta: dict, tensors: dict[str, Tensor]) -> ModelParams:
                                    f"tensor {name} has shape {t.shape}, metadata implies {shape}")
         return t
 
+    version = meta.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ModelFormatError(ModelFormatError.BAD_METADATA,
+                               f"format version {version!r}, expected {FORMAT_VERSION}")
     variant = meta["variant"]
     if variant not in VARIANTS:
         raise ModelFormatError(ModelFormatError.SHAPE_MISMATCH, f"unknown variant {variant!r}")
     h = meta["hyper"]
-    hyper = Hyper(n=h["n"], k=h["k"], m=h["m"], rho=h["rho"], l2=h["l2"], t=h["t"],
+    hyper = Hyper(n=_positive_int(h["n"], "n"), k=_positive_int(h["k"], "k"),
+                  m=_positive_int(h["m"], "m"), rho=h["rho"], l2=h["l2"], t=h["t"],
                   learning_rate=h["learning_rate"])
+    if hyper.t != len(CLASS_ORDER) or not 0.0 <= hyper.rho < 1.0:
+        raise ModelFormatError(ModelFormatError.BAD_METADATA,
+                               f"t={hyper.t!r}, rho={hyper.rho!r} out of range")
     n = hyper.n
-    word = _table_from("word", need("tables.word"), dict(meta["word_index"]))
+    word = _table_from("word", need("tables.word"), dict(meta["word_index"]),
+                       (encoders.PAD_WORD, encoders.UNK_WORD))
     pos_rows = 2 * n - 1
-    pos_dim = meta["dims"]["pos"]
+    pos_dim = _positive_int(meta["dims"]["pos"], "position dim")
     pos_index = {rel: rel + n - 1 for rel in range(-(n - 1), n)}
-    pos1 = _table_from("pos1", need("tables.pos1", (pos_rows, pos_dim)), dict(pos_index))
-    pos2 = _table_from("pos2", need("tables.pos2", (pos_rows, pos_dim)), dict(pos_index))
+    pos1 = _table_from("pos1", need("tables.pos1", (pos_rows, pos_dim)), dict(pos_index), ())
+    pos2 = _table_from("pos2", need("tables.pos2", (pos_rows, pos_dim)), dict(pos_index), ())
 
     chartab = None
     char_params = None
     if variant != "cnn":
-        chartab = _table_from("char", need("tables.char"), dict(meta["char_index"]))
+        chartab = _table_from("char", need("tables.char"), dict(meta["char_index"]),
+                              (encoders.PAD_CHAR, encoders.UNK_CHAR))
+        char_dim = chartab.dim
         if variant == "cnn+cnnchar":
+            filters = need("char_cnn.filters")
+            if filters.data.ndim != 3 or filters.shape[2] != char_dim:
+                raise ModelFormatError(ModelFormatError.SHAPE_MISMATCH,
+                                       f"char_cnn.filters has shape {filters.shape}")
             char_params = CharEncoderParams(
-                "cnn", filters=need("char_cnn.filters"), bias=need("char_cnn.bias"))
+                "cnn", filters=filters, bias=need("char_cnn.bias", (filters.shape[0],)))
         else:
+            units = need("char_lstm.fwd.wh").shape[0]
             char_params = CharEncoderParams(
-                "bilstm",
-                fwd=LstmParams(need("char_lstm.fwd.wx"), need("char_lstm.fwd.wh"),
-                               need("char_lstm.fwd.b")),
-                bwd=LstmParams(need("char_lstm.bwd.wx"), need("char_lstm.bwd.wh"),
-                               need("char_lstm.bwd.b")))
+                "bilstm", **{tag: LstmParams(need(f"char_lstm.{tag}.wx", (char_dim, 4 * units)),
+                                             need(f"char_lstm.{tag}.wh", (units, 4 * units)),
+                                             need(f"char_lstm.{tag}.b", (4 * units,)))
+                             for tag in ("fwd", "bwd")})
 
     tables = EmbeddingSet(word, pos1, pos2, chartab, n)
     d = word.dim + 2 * pos_dim + (char_params.out_dim if char_params else 0)

@@ -18,6 +18,27 @@ nothing stays reachable once the result is read.  Values are the same
 arithmetic as with the graph, bit for bit.  The switch is process-wide
 (not per thread) and the previous state comes back when the block exits,
 also on an exception.
+
+`lstm_final_states` runs one LSTM direction over many sequences as a
+single node with a hand-written backward through time.  Its values and
+every gradient it passes on equal, bit for bit, those of the graph of
+scalar-step operations (`row`, `matmul`, `add`, `slice_last`, `sigmoid`,
+`tanh`, `mul`) that it replaces, because it repeats that graph's
+arithmetic: each elementwise expression keeps its operands and their
+order (sigmoid backward is `(g * s) * (1 - s)`, tanh backward
+`g * (1 - y * y)`), and `wh` and `b` receive one contribution per
+(sequence, step), sequences in order and each from its last step back to
+its first, added in that order.  The per-step graph stores each node's
+first gradient as `g + 0.0`, which changes only the sign of exact zeros;
+the op skips that inside, because products and sums keep such a
+difference confined to zeros and every leaf gradient is stored from
+`+ 0.0` or from zeros, which erases it.  The `h @ wh` and
+`wh @ dgates` products run as stacks of matrix-vector products, which
+round as the single ones do.  The input projection `x_w @ wx` and its
+gradients `dX_w @ wx.T` and `x_w.T @ dX_w` stay one product per sequence:
+stacking the rows of all sequences into one product changes the BLAS
+blocking, and its rows then differ from the per-sequence products in the
+last bits (on 125 of 125 sequences of a 790-row stack, OpenBLAS 0.3.31).
 """
 
 from __future__ import annotations
@@ -367,6 +388,132 @@ def conv1d_valid(input: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
                 input.grad[h:h + length] += g @ filters.data[:, h, :]
 
     return _result(out_data, (input, filters, bias), backward, "conv1d_valid")
+
+
+def lstm_final_states(x: Tensor, lengths: Sequence[int], wx: Tensor, wh: Tensor, b: Tensor,
+                      reverse: bool) -> Tensor:
+    """Final hidden states of one LSTM direction over W sequences, shape (W, u).
+
+    x stacks the sequences' input rows, (sum(lengths), d); sequence w is
+    rows [off_w, off_w + lengths[w]), read in order, or last row first
+    when `reverse`.  wx is (d, 4u), wh (u, 4u) and b (4u,), with the gates
+    packed [input, forget, output, candidate].  Each step computes
+
+        gates = (x_t @ wx + h @ wh) + b
+        c = f * c + i * g;  h = o * tanh(c)
+
+    from h = c = 0.  All sequences step in lockstep (longest first), and
+    the result is one graph node; see the module docstring for why its
+    values and gradients equal those of a per-step graph bit for bit.
+    """
+    lengths = [int(n) for n in lengths]
+    if x.data.ndim != 2 or wx.data.ndim != 2 or wh.data.ndim != 2 or b.data.ndim != 1:
+        raise ShapeError("lstm_final_states: expects x (N,d), wx (d,4u), wh (u,4u), b (4u,)")
+    u = wh.shape[0]
+    if wh.shape != (u, 4 * u) or wx.shape != (x.shape[1], 4 * u) or b.shape != (4 * u,):
+        raise ShapeError(f"lstm_final_states: x {x.shape}, wx {wx.shape}, wh {wh.shape}, "
+                         f"b {b.shape} do not fit one LSTM")
+    if not lengths or min(lengths) < 1 or sum(lengths) != x.shape[0]:
+        raise ShapeError(f"lstm_final_states: lengths {lengths} must be >= 1 "
+                         f"and sum to {x.shape[0]}")
+    offsets = np.cumsum([0] + lengths)
+    # The x projection stays one (L, d) @ (d, 4u) product per sequence: a
+    # row-stacked product over all sequences rounds differently.
+    xproj = np.empty((x.shape[0], 4 * u))
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        xproj[lo:hi] = x.data[lo:hi] @ wx.data
+
+    # Lockstep order: sorted longest first, the sequences still running at
+    # step s are a prefix, active[s] long, of `order`.
+    order = np.argsort(-np.asarray(lengths), kind="stable")
+    sorted_len = np.asarray(lengths)[order]
+    sorted_off = offsets[:-1][order]
+    steps = int(sorted_len[0])
+    active = [int(np.count_nonzero(sorted_len > s)) for s in range(steps)] + [0]
+    # rows[s]: the input row each running sequence reads at step s.
+    rows = [sorted_off[:active[s]] + (sorted_len[:active[s]] - 1 - s if reverse else s)
+            for s in range(steps)]
+
+    saved = []  # per step, for the backward; empty under no_grad
+    final = np.empty((len(lengths), u))
+    h = np.zeros((active[0], u))
+    c = np.zeros((active[0], u))
+    for s in range(steps):
+        n = active[s]
+        h_prev, c_prev = h[:n], c[:n]
+        gates = (xproj[rows[s]] + np.matmul(h_prev[:, None, :], wh.data)[:, 0]) + b.data
+        ifo = 1.0 / (1.0 + np.exp(-gates[:, :3 * u]))
+        g = np.tanh(gates[:, 3 * u:])
+        c = ifo[:, u:2 * u] * c_prev + ifo[:, :u] * g
+        tc = np.tanh(c)
+        h = ifo[:, 2 * u:] * tc
+        final[order[active[s + 1]:n]] = h[active[s + 1]:]
+        if _grad_enabled:
+            saved.append((h_prev, c_prev, ifo, g, tc))
+
+    def backward(grad):
+        # Operands and their order as in the per-step graph; its `+ 0.0`
+        # on each first gradient is left out (see the module docstring).
+        dgates_at = np.empty((x.shape[0], 4 * u))  # by input row
+        h_prev_at = np.empty((x.shape[0], u))
+        dh_next = dc_next = np.empty((0, u))
+        for s in reversed(range(steps)):
+            n, m = active[s], active[s + 1]
+            h_prev, c_prev, ifo, g, tc = saved[s]
+            dh = np.empty((n, u))
+            dh[:m] = dh_next
+            dh[m:] = grad[order[m:n]]
+            o = ifo[:, 2 * u:]
+            dc = (dh * o) * (1.0 - tc * tc)
+            dc[:m] += dc_next
+            difo = np.concatenate((dc * g, dc * c_prev, dh * tc), axis=1)
+            dgates = np.concatenate(((difo * ifo) * (1.0 - ifo),
+                                     (dc * ifo[:, :u]) * (1.0 - g * g)), axis=1)
+            dgates_at[rows[s]] = dgates
+            h_prev_at[rows[s]] = h_prev
+            if s > 0:
+                dh_next = np.matmul(wh.data, dgates[:, :, None])[:, :, 0]
+                dc_next = dc * ifo[:, u:2 * u]
+        spans = list(zip(offsets[:-1], offsets[1:]))
+        if x.requires_grad:
+            dx = np.empty_like(x.data)
+            for lo, hi in spans:
+                dx[lo:hi] = dgates_at[lo:hi] @ wx.data.T
+            x.accumulate_grad(dx)
+        if wx.requires_grad:
+            for lo, hi in spans:
+                wx.accumulate_grad(x.data[lo:hi].T @ dgates_at[lo:hi])
+        # wh and b take one contribution per (sequence, step): sequences in
+        # order, each from its last step to its first.
+        seq = np.concatenate([np.arange(lo, hi)[::1 if reverse else -1] for lo, hi in spans])
+        if b.requires_grad:
+            _accumulate_in_order(b, seq, lambda k, out: np.take(dgates_at, k, axis=0, out=out))
+        if wh.requires_grad:
+            _accumulate_in_order(wh, seq, lambda k, out: np.multiply(
+                h_prev_at[k][:, :, None], dgates_at[k][:, None, :], out=out))
+
+    return _result(final, (x, wx, wh, b), backward, "lstm_final_states")
+
+
+def _accumulate_in_order(t: Tensor, seq: np.ndarray, fill, chunk: int = 64) -> None:
+    """Add one contribution per entry of `seq` into `t.grad`, one after
+    another, as that many `accumulate_grad` calls would.  `fill(k, out)`
+    writes the contributions of the entries `k` into `out`.
+
+    `np.add.reduce` over the leading axis of a C-contiguous stack adds its
+    rows in sequence (a test pins this), so a stack that starts from the
+    current gradient, or from zeros, gives the same bits.  One reused
+    buffer holds the stack: fresh megabyte temporaries cost several times
+    the arithmetic."""
+    acc = np.zeros_like(t.data) if t.grad is None else t.grad
+    buf = np.empty((min(chunk, len(seq)) + 1,) + t.shape)
+    for lo in range(0, len(seq), chunk):
+        k = seq[lo:lo + chunk]
+        stack = buf[:len(k) + 1]
+        stack[0] = acc
+        fill(k, stack[1:])
+        acc = np.add.reduce(stack, axis=0)
+    t.grad = acc
 
 
 def max_over_time(feature_map: Tensor) -> Tensor:

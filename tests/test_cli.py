@@ -216,6 +216,22 @@ class TestEvalCommand:
                      "--train", corpora["train"]])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_corrupt_model_exits_1_with_one_line(self, corpora, capsys, command):
+        model_path = self.trained_model(corpora, capsys, extra=["--variant", "cnn+lstmchar"])
+        blob = model_path.read_bytes()
+        corrupt = corpora["dir"] / "corrupt.bin"
+        meta_start = 16  # magic, then the metadata length
+        for damaged in (blob[:8] + b"\xff" * 8 + blob[16:],             # length past the end
+                        blob[:meta_start] + b"\xff" + blob[meta_start + 1:],  # not UTF-8
+                        blob[:meta_start] + b"[" + blob[meta_start + 1:]):     # not JSON
+            corrupt.write_bytes(damaged)
+            args = [command, "--model-in", str(corrupt), "--test", corpora["test"]]
+            code = main(args + (["--train", corpora["train"]] if command == "eval" else []))
+            assert code == EXIT_PARSE
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestPredictCommand:
     def test_runs_without_relation_lines(self, corpora, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from cdrex import model as M
 from cdrex import tensor as T
 from cdrex.corpus import RelationInstance, Vocab
@@ -112,11 +113,13 @@ class TestGraphFreeForward:
         cache = {}
         for inst in instances:
             pred = forward(inst, params, Rng(1), char_cache=cache)
-            # The oracle encodes each instance's forms afresh, with the graph.
-            oracle = class_probabilities(inst, params, Rng(1), training=False)
-            assert oracle.requires_grad
-            assert np.array_equal(pred.probabilities, oracle.data)
-            assert pred.label == int(np.argmax(oracle.data))
+            # The reference encodes each instance's forms afresh, with the
+            # graph, characters through the per-word, per-step graph.
+            with oracle.per_word_graph():
+                reference = class_probabilities(inst, params, Rng(1), training=False)
+            assert reference.requires_grad
+            assert np.array_equal(pred.probabilities, reference.data)
+            assert pred.label == int(np.argmax(reference.data))
         if variant == "cnn":
             assert cache == {}
         else:
@@ -225,6 +228,29 @@ class TestSerialization:
         with pytest.raises(ModelFormatError) as exc:
             load_model(path)
         assert exc.value.code == ModelFormatError.SHAPE_MISMATCH
+
+    def test_every_truncation_and_bit_flip_loads_or_is_a_format_error(self, tmp_path):
+        vocab = Vocab(words=["ab"], counts={"ab": 1}, chars=sorted(set("abPAD")), n=2)
+        params = init_model(vocab, "cnn+lstmchar", Rng(1), m=1, k=1, word_dim=1, pos_dim=1,
+                            char_dim=1, lstm_units=1)
+        path = tmp_path / "model.bin"
+        save_model(params, path)
+        blob = path.read_bytes()
+        damaged = [blob[:size] for size in range(len(blob))]
+        for i in range(len(blob)):
+            damaged += [blob[:i] + bytes([blob[i] ^ (1 << bit)]) + blob[i + 1:] for bit in range(8)]
+        inst = make_instance(tokens=("ab", "ab"), i1=0, i2=1)
+        loaded = 0
+        for data in damaged:
+            path.write_bytes(data)
+            try:
+                model = load_model(path)
+            except ModelFormatError:
+                continue
+            with np.errstate(over="ignore"):  # a flipped exponent bit can make huge weights
+                forward(inst, model, Rng(1))  # whatever loads also runs
+            loaded += 1
+        assert 0 < loaded < len(damaged)
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "model.bin"

@@ -4,6 +4,7 @@ import gc
 import numpy as np
 import pytest
 
+import oracle
 from cdrex import encoders
 from cdrex import model as M
 from cdrex import optim
@@ -454,11 +455,13 @@ class TestGraphFreeInference:
         assert set(seen) == {inst.uid for inst in split.instances}
         labels = {}
         for uid, (fitted, pred) in seen.items():
-            # The oracle: a per-instance encoding with the graph enabled.
-            oracle = M.class_probabilities(fitted, params, Rng(0), training=False)
-            assert oracle.requires_grad
-            assert np.array_equal(pred.probabilities, oracle.data)
-            labels[uid] = int(np.argmax(oracle.data))
+            # The reference: a per-instance encoding with the graph enabled,
+            # characters through the per-word, per-step graph.
+            with oracle.per_word_graph():
+                reference = M.class_probabilities(fitted, params, Rng(0), training=False)
+            assert reference.requires_grad
+            assert np.array_equal(pred.probabilities, reference.data)
+            labels[uid] = int(np.argmax(reference.data))
             assert pred.label == labels[uid]
         assert set(labels.values()) == {0, 1}
         for doc in split.documents:
