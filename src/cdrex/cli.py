@@ -11,8 +11,9 @@ Options may come from a flat key-value config file (`--config`, lines of
 randomness flows from the single seed through derived per-component
 streams, so identical configurations reproduce byte-identical outputs.
 
-Exit codes: 0 success, 1 corpus/model parse error, 2 configuration error,
-3 numeric failure, 4 model/corpus vocabulary mismatch.
+Exit codes: 0 success, 1 corpus/model parse error or a training corpus that
+cannot be trained on, 2 configuration error, 3 numeric failure, 4
+model/corpus vocabulary mismatch.
 """
 
 from __future__ import annotations
@@ -235,8 +236,13 @@ def _load_training_data(cfg: RunConfig) -> tuple[optim.DataSplit, optim.DataSpli
     """Train and dev splits, the training vocabulary, and the pre-trained
     vectors for its words (None without --emb)."""
     train_data = _load_split(cfg.train)
+    if not train_data.instances:
+        raise UnusableCorpus(f"{cfg.train}: no chemical-disease mention pair to train on")
     dev_data = _load_split(cfg.dev)
     vocab = corpus.build_vocab(train_data.documents, train_data.instances)
+    if vocab.n < _TRAIN_DEFAULTS.window:
+        raise UnusableCorpus(f"{cfg.train}: the longest instance has {vocab.n} tokens, fewer "
+                             f"than the convolution window of {_TRAIN_DEFAULTS.window}")
     log.info("training corpus: %d documents, %d instances, n=%d",
              len(train_data.documents), len(train_data.instances), vocab.n)
     pretrained = None
@@ -266,6 +272,10 @@ def _check_vocabulary_overlap(params: model.ModelParams, split: optim.DataSplit)
 
 class VocabularyMismatch(ValueError):
     pass
+
+
+class UnusableCorpus(ValueError):
+    """A training corpus that parses but cannot be trained on."""
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +521,9 @@ def main(argv=None) -> int:
         return EXIT_VOCAB
     except (corpus.ParseError, model.ModelFormatError, encoders.VectorFormatError) as exc:
         print(f"cdrex: parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except UnusableCorpus as exc:
+        print(f"cdrex: unusable corpus: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except T.NumericsError as exc:
         print(f"cdrex: numeric failure: {exc}", file=sys.stderr)

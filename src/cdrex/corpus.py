@@ -16,6 +16,7 @@ annotated for the document.
 
 from __future__ import annotations
 
+import bisect
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -232,21 +233,6 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
 # Instance construction
 
 
-def _last_token_index(tokens: list[Token], mention: Mention) -> int | None:
-    last = None
-    for i, tok in enumerate(tokens):
-        if tok.start < mention.end and tok.end > mention.start:
-            last = i
-    return last
-
-
-def _sentence_span_of(spans, offset: int) -> tuple[int, int]:
-    for lo, hi in spans:
-        if lo <= offset < max(hi, lo + 1):
-            return lo, hi
-    return spans[-1]
-
-
 def _truncate_window(w_lo: int, w_hi: int, lo: int, hi: int, n_max: int) -> tuple[int, int]:
     """Shrink [w_lo, w_hi] to at most n_max tokens, symmetrically around
     the entity span [lo, hi], never dropping either entity."""
@@ -265,21 +251,51 @@ def build_instances(doc: Document, n_max: int = DEFAULT_MAX_TOKENS) -> list[Rela
     The token window runs from the start of the earlier mention's sentence
     to the end of the later mention's sentence, truncated symmetrically
     around the pair when it exceeds n_max tokens.  Entity positions are the
-    last tokens of each mention.
+    last tokens of each mention.  A pair is skipped with a warning when
+    both mentions end on the same token, or when their last tokens lie
+    more than n_max tokens apart.
+
+    Tokens and sentences are in text order and do not overlap, so every
+    lookup is a binary search over their offsets, once per mention.
     """
     tokens = tokenize(doc.text)
+    texts = [t.text for t in tokens]
+    starts = [t.start for t in tokens]
+    ends = [t.end for t in tokens]
     sentences = split_sentences(doc.text)
+    sentence_starts = [lo for lo, _ in sentences]
+
+    def sentence_of(offset: int) -> tuple[int, int]:
+        # The sentence holding the offset; the last one for offsets
+        # outside every sentence (the space between two, or past the text).
+        i = bisect.bisect_right(sentence_starts, offset) - 1
+        if i >= 0:
+            lo, hi = sentences[i]
+            if offset < max(hi, lo + 1):
+                return lo, hi
+        return sentences[-1]
+
+    def locate(m: Mention) -> tuple[int | None, int, int]:
+        # The last token that overlaps the mention (None if none does), the
+        # first token of the sentence it starts in and the last token of
+        # the sentence it ends in.
+        entity = bisect.bisect_left(starts, m.end) - 1
+        first = bisect.bisect_right(ends, sentence_of(m.start)[0])
+        last = bisect.bisect_left(starts, sentence_of(max(m.end - 1, m.start))[1]) - 1
+        return (entity if entity >= 0 and ends[entity] > m.start else None,
+                first if first < len(tokens) else 0, last if last >= 0 else len(tokens) - 1)
+
     chems = [m for m in doc.mentions if m.kind == CHEMICAL]
     diseases = [m for m in doc.mentions if m.kind == DISEASE]
+    disease_at = [locate(m) for m in diseases]
     instances = []
     seq = 0
     for chem in chems:
-        ic = _last_token_index(tokens, chem)
+        ic, chem_lo, chem_hi = locate(chem)
         if ic is None:
             log.warning("document %s: chemical mention %r matches no token", doc.pmid, chem.text)
             continue
-        for dis in diseases:
-            i_d = _last_token_index(tokens, dis)
+        for dis, (i_d, dis_lo, dis_hi) in zip(diseases, disease_at):
             if i_d is None:
                 log.warning("document %s: disease mention %r matches no token", doc.pmid, dis.text)
                 continue
@@ -287,12 +303,13 @@ def build_instances(doc: Document, n_max: int = DEFAULT_MAX_TOKENS) -> list[Rela
                 log.warning("document %s: mentions %r/%r share their last token; pair skipped",
                             doc.pmid, chem.text, dis.text)
                 continue
-            first, second = (chem, dis) if chem.start <= dis.start else (dis, chem)
-            sent_lo = _sentence_span_of(sentences, first.start)[0]
-            sent_hi = _sentence_span_of(sentences, max(second.end - 1, second.start))[1]
-            w_lo = min((i for i, t in enumerate(tokens) if t.end > sent_lo), default=0)
-            w_hi = max((i for i, t in enumerate(tokens) if t.start < sent_hi), default=len(tokens) - 1)
             lo, hi = min(ic, i_d), max(ic, i_d)
+            if hi - lo + 1 > n_max:
+                log.warning("document %s: mentions %r/%r span %d tokens, more than n_max=%d; "
+                            "pair skipped", doc.pmid, chem.text, dis.text, hi - lo + 1, n_max)
+                continue
+            # From the earlier mention's sentence to the later one's.
+            w_lo, w_hi = (chem_lo, dis_hi) if chem.start <= dis.start else (dis_lo, chem_hi)
             w_lo, w_hi = min(w_lo, lo), max(w_hi, hi)
             if w_hi - w_lo + 1 > n_max:
                 w_lo, w_hi = _truncate_window(w_lo, w_hi, lo, hi, n_max)
@@ -302,7 +319,7 @@ def build_instances(doc: Document, n_max: int = DEFAULT_MAX_TOKENS) -> list[Rela
             instances.append(RelationInstance(
                 uid=f"{doc.pmid}#{seq}",
                 pmid=doc.pmid,
-                tokens=[t.text for t in tokens[w_lo:w_hi + 1]],
+                tokens=texts[w_lo:w_hi + 1],
                 i1=i1,
                 i2=i2,
                 chem_id=chem.mesh_id,

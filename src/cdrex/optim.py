@@ -16,7 +16,6 @@ bitwise-identical models.
 
 from __future__ import annotations
 
-import gc
 import logging
 import os
 from dataclasses import dataclass, field, replace
@@ -165,7 +164,9 @@ def training_relations(docs: list[Document]) -> set[tuple[str, str]]:
 def predict_pairs(split: DataSplit, params: ModelParams,
                   train_relations: set[tuple[str, str]]) -> dict[str, set[tuple[str, str]]]:
     """Document-level predicted pairs for a split, via mention-level
-    classification plus the training co-occurrence rule."""
+    classification plus the training co-occurrence rule.  An instance
+    whose two entities cannot both fit in the model's n tokens is
+    labelled 0 with a warning."""
     rng = Rng(0)  # inference is deterministic; the stream is never used
     # Parameters are fixed for this call only, so the character encodings
     # are shared across the split and dropped on return.
@@ -179,6 +180,12 @@ def predict_pairs(split: DataSplit, params: ModelParams,
         instances = by_doc.get(doc.pmid, [])
         labels = {}
         for inst in instances:
+            span = abs(inst.i1 - inst.i2) + 1
+            if span > n:
+                log.warning("instance %s: entities span %d tokens, more than the model's "
+                            "n=%d; labelled 0", inst.uid, span, n)
+                labels[inst.uid] = 0
+                continue
             fitted = fit_instance(inst, n)
             labels[inst.uid] = model.forward(fitted, params, rng, training=False,
                                              char_cache=char_cache).label
@@ -199,31 +206,17 @@ def _minibatch_step(batch: list[RelationInstance], params: ModelParams,
                     lookup: dict[str, list[str]]) -> float:
     """One Nadam update on a minibatch; returns its loss.
 
-    The whole step runs with the cyclic garbage collector paused, in this
-    order: zero the gradients, build the loss graph, backward, Nadam,
-    read the loss, drop the graph; then the caller's collector state comes
-    back (a caller that had it off keeps it off).  A `cnn+lstmchar` graph
-    holds hundreds of thousands of objects, and each collection while it
-    is alive scans them all, so the collector resumes only once the graph
-    is gone.  The graph has no reference cycles (nodes point to their
-    operands, never back), so reference counting alone frees it.  Nadam
-    runs while the graph is still held: freeing the graph first measured
-    about six times the minor page faults per `train-cnn` call, and slower
-    calls, as the freed heap was faulted back in.
+    Nadam runs while the loss graph is still held: freeing the graph first
+    measured about six times the minor page faults per `train-cnn` call,
+    and slower calls, as the freed heap was faulted back in.  The graph
+    has no reference cycles (nodes point to their operands, never back),
+    so reference counting frees it when the step returns.
     """
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        zero_grads(named)
-        batch_loss = model.loss(batch, params, rng, lookup_tokens=lookup)
-        batch_loss.backward()
-        nadam_step(named, state)
-        value = batch_loss.item()
-        del batch_loss
-        return value
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    zero_grads(named)
+    batch_loss = model.loss(batch, params, rng, lookup_tokens=lookup)
+    batch_loss.backward()
+    nadam_step(named, state)
+    return batch_loss.item()
 
 
 def _snapshot(params: ModelParams,

@@ -125,6 +125,13 @@ class Tensor:
         else:
             self.grad += g
 
+    def grad_buffer(self) -> np.ndarray:
+        """`grad` for a backward rule to write into in place, zero-filled
+        on the first touch."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        return self.grad
+
     def backward(self) -> None:
         """Reverse-mode gradient pass from a scalar root."""
         if self.data.ndim != 0:
@@ -140,8 +147,8 @@ class Tensor:
         # Contract: every requires_grad tensor reachable from the root ends
         # up with a populated gradient, even if it is all zeros.
         for node in order:
-            if node.requires_grad and node.grad is None:
-                node.grad = np.zeros_like(node.data)
+            if node.requires_grad:
+                node.grad_buffer()
 
 
 def graph_nodes(root: Tensor) -> list[Tensor]:
@@ -230,7 +237,10 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
+    # exp overflows to inf for inputs below about -709; 1/inf is the
+    # correct limit 0, so the overflow is not worth a warning.
+    with np.errstate(over="ignore"):
+        out_data = 1.0 / (1.0 + np.exp(-a.data))
     def backward(g):
         if a.requires_grad:
             a.accumulate_grad(g * out_data * (1.0 - out_data))
@@ -318,9 +328,7 @@ def gather(table: Tensor, indices) -> Tensor:
         raise ShapeError("gather: index out of range")
     def backward(g):
         if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx, g)
+            np.add.at(table.grad_buffer(), idx, g)
     return _result(table.data[idx], (table,), backward, "gather")
 
 
@@ -329,9 +337,7 @@ def row(a: Tensor, i: int) -> Tensor:
         raise ShapeError(f"row: index {i} into shape {a.shape}")
     def backward(g):
         if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[i] += g
+            a.grad_buffer()[i] += g
     return _result(a.data[i].copy(), (a,), backward, "row")
 
 
@@ -377,15 +383,13 @@ def conv1d_valid(input: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
         if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=0))
         if filters.requires_grad:
-            if filters.grad is None:
-                filters.grad = np.zeros_like(filters.data)
+            filters_grad = filters.grad_buffer()
             for h in range(k):
-                filters.grad[:, h, :] += g.T @ input.data[h:h + length]
+                filters_grad[:, h, :] += g.T @ input.data[h:h + length]
         if input.requires_grad:
-            if input.grad is None:
-                input.grad = np.zeros_like(input.data)
+            input_grad = input.grad_buffer()
             for h in range(k):
-                input.grad[h:h + length] += g @ filters.data[:, h, :]
+                input_grad[h:h + length] += g @ filters.data[:, h, :]
 
     return _result(out_data, (input, filters, bias), backward, "conv1d_valid")
 
@@ -442,7 +446,8 @@ def lstm_final_states(x: Tensor, lengths: Sequence[int], wx: Tensor, wh: Tensor,
         n = active[s]
         h_prev, c_prev = h[:n], c[:n]
         gates = (xproj[rows[s]] + np.matmul(h_prev[:, None, :], wh.data)[:, 0]) + b.data
-        ifo = 1.0 / (1.0 + np.exp(-gates[:, :3 * u]))
+        with np.errstate(over="ignore"):  # as in `sigmoid`
+            ifo = 1.0 / (1.0 + np.exp(-gates[:, :3 * u]))
         g = np.tanh(gates[:, 3 * u:])
         c = ifo[:, u:2 * u] * c_prev + ifo[:, :u] * g
         tc = np.tanh(c)
@@ -505,7 +510,7 @@ def _accumulate_in_order(t: Tensor, seq: np.ndarray, fill, chunk: int = 64) -> N
     current gradient, or from zeros, gives the same bits.  One reused
     buffer holds the stack: fresh megabyte temporaries cost several times
     the arithmetic."""
-    acc = np.zeros_like(t.data) if t.grad is None else t.grad
+    acc = t.grad_buffer()
     buf = np.empty((min(chunk, len(seq)) + 1,) + t.shape)
     for lo in range(0, len(seq), chunk):
         k = seq[lo:lo + chunk]

@@ -1,4 +1,5 @@
 import json
+import logging
 import struct
 
 import numpy as np
@@ -119,6 +120,45 @@ class TestTrainCommand:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"parse error: {vectors}: line 1: expected 200 values, got 3" in err
 
+    def test_corpus_without_a_mention_pair_exits_1(self, corpora, capsys):
+        chemicals_only = corpora["dir"] / "chemicals.pubtator"
+        chemicals_only.write_text("\n".join(
+            line for line in synthetic_corpus_text(4).splitlines()
+            if "\tDisease\t" not in line and "\tCID\t" not in line) + "\n")
+        code = main(train_args(corpora, corpora["dir"] / "m.bin", ["--train", str(chemicals_only)]))
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"{chemicals_only}: no chemical-disease mention pair to train on" in err
+
+    def test_windows_shorter_than_the_convolution_exit_1(self, corpora, capsys):
+        short = corpora["dir"] / "short.pubtator"
+        # "chem0 dis0 ." is three tokens; the convolution window is five.
+        short.write_text("1|t|chem0 dis0.\n1|a|Filler.\n"
+                         "1\t0\t5\tchem0\tChemical\tC0\n1\t6\t10\tdis0\tDisease\tD0\n")
+        code = main(train_args(corpora, corpora["dir"] / "m.bin", ["--train", str(short)]))
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert (f"{short}: the longest instance has 3 tokens, fewer than the convolution "
+                f"window of 5") in err
+
+    def test_pair_wider_than_n_max_is_skipped_with_one_warning(self, corpora, capsys, caplog):
+        wide = corpora["dir"] / "wide.pubtator"
+        filler = " ".join(["word"] * 400)
+        title = f"chem0 {filler} dis0 here."
+        wide.write_text(synthetic_corpus_text(8) + "\n" + "\n".join([
+            f"99|t|{title}", "99|a|Filler.",
+            "99\t0\t5\tchem0\tChemical\tC0",
+            f"99\t{title.index('dis0')}\t{title.index('dis0') + 4}\tdis0\tDisease\tD0"]) + "\n")
+        with caplog.at_level(logging.WARNING):
+            code = main(train_args(corpora, corpora["dir"] / "m.bin", ["--train", str(wide)]))
+        assert code == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert warnings == ["document 99: mentions 'chem0'/'dis0' span 402 tokens, "
+                            "more than n_max=400; pair skipped"]
+
     def test_missing_required_flag_is_config_error(self, corpora, capsys):
         assert main(["train", "--train", corpora["train"]]) == EXIT_CONFIG
 
@@ -231,6 +271,28 @@ class TestEvalCommand:
             assert code == EXIT_PARSE
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_pair_wider_than_the_model_is_labelled_0(self, corpora, capsys, caplog, command):
+        model_path = self.trained_model(corpora, capsys)  # n = 5
+        wide = corpora["dir"] / "wide.pubtator"
+        title = "chem0 induced much more than five tokens of dis0 today."
+        dis = title.index("dis0")
+        wide.write_text(synthetic_corpus_text(4, start=12) + "\n" + "\n".join([
+            f"99|t|{title}", "99|a|Filler.", "99\t0\t5\tchem0\tChemical\tC0",
+            f"99\t{dis}\t{dis + 4}\tdis0\tDisease\tD0", "99\tCID\tC0\tD0"]) + "\n")
+        args = [command, "--model-in", str(model_path), "--test", str(wide)]
+        with caplog.at_level(logging.WARNING):
+            code = main(args + (["--train", corpora["train"]] if command == "eval" else []))
+        assert code == EXIT_OK
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert warnings == ["instance 99#0: entities span 9 tokens, more than the model's "
+                            "n=5; labelled 0"]
+        if command == "predict":  # no training relations: nothing else predicts the pair
+            assert not any(line.startswith("99\t") for line in out.splitlines())
 
 
 class TestPredictCommand:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
+from conftest import synthetic_corpus_text
 from cdrex.corpus import (
     Document,
     Mention,
@@ -251,6 +253,71 @@ class TestBuildInstances:
         instances = build_instances(parse_pubtator(text)[0])
         uids = [i.uid for i in instances]
         assert len(set(uids)) == len(uids) == 2
+
+    def test_pair_wider_than_n_max_skipped(self, caplog):
+        text = block("7", "CA one two three DA and DB.", "Tail.",
+                     mentions=[("CA", "Chemical", "C1"), ("DA", "Disease", "D1"),
+                               ("DB", "Disease", "D2")])
+        with caplog.at_level(logging.WARNING):
+            instances = build_instances(parse_pubtator(text)[0], n_max=6)
+        # CA..DB spans 7 tokens and is skipped; CA..DA spans 5 and is kept.
+        assert [(i.uid, i.dis_id) for i in instances] == [("7#0", "D1")]
+        assert "'CA'/'DB' span 7 tokens, more than n_max=6; pair skipped" in caplog.text
+
+
+def instances_and_warnings(build, doc, n_max=400):
+    """What `build` returns for the document, and the messages it logs."""
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logger = logging.getLogger("cdrex.corpus")
+    logger.addHandler(handler)
+    try:
+        instances = build(doc, n_max)
+    finally:
+        logger.removeHandler(handler)
+    return instances, [r.getMessage() for r in records]
+
+
+def test_build_instances_matches_scanning_oracle_on_synthetic_corpus():
+    for doc in parse_pubtator(synthetic_corpus_text(40)):
+        for n_max in (2, 4, 400):
+            expected = instances_and_warnings(oracle.build_instances, doc, n_max)
+            assert instances_and_warnings(build_instances, doc, n_max) == expected
+
+
+# Words with leading and trailing punctuation, abbreviations and sentence
+# ends, so documents have several sentences and odd token boundaries.
+_WORDS = ["CA", "DA", "mice", "e.g.", "i.e.", "A.", "dose.", "(IL-2)", "fever,", "x", ".",
+          "\"q\"", "Na+", "end.", "re-do"]
+
+
+@st.composite
+def documents(draw):
+    title = " ".join(draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=8)))
+    # Trailing spaces can leave a last sentence without a token.
+    abstract = draw(st.sampled_from([" ", "  "])).join(
+        draw(st.lists(st.sampled_from(_WORDS), max_size=30))) + draw(st.sampled_from(["", "  "]))
+    text_len = len(title) + 1 + len(abstract)
+    mentions = []
+    # Random offsets give mentions on whitespace only (no token), before
+    # and past the text, overlapping each other (a shared last token) and
+    # across sentence boundaries.
+    for start, width, kind, mesh in draw(st.lists(st.tuples(
+            st.integers(-2, text_len + 2), st.integers(1, 12),
+            st.sampled_from(["Chemical", "Disease"]), st.sampled_from(["M1", "M2", "M3"])),
+            max_size=8)):
+        mentions.append(Mention(start, start + width, "m", kind, mesh))
+    gold = set(draw(st.lists(st.tuples(st.sampled_from(["M1", "M2", "M3"]),
+                                       st.sampled_from(["M1", "M2", "M3"])), max_size=3)))
+    return Document("9", title, abstract, mentions, gold)
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents(), st.integers(1, 40))
+def test_build_instances_matches_scanning_oracle(doc, n_max):
+    expected = instances_and_warnings(oracle.build_instances, doc, n_max)
+    assert instances_and_warnings(build_instances, doc, n_max) == expected
 
 
 class TestBuildVocab:

@@ -7,6 +7,8 @@ parameter gradient and every probability vector of the per-step graph,
 bit for bit.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,19 @@ def test_one_word_matches_per_word_graph(word):
     assert fused == run(oracle.char_bilstm_encode)
     with T.no_grad():
         assert encoders.char_bilstm_encode(word, chartab, char_params).data.tobytes() == fused[0]
+
+
+def test_saturated_gates_give_no_overflow_warning():
+    """exp(-gates) overflows to inf when the input weights are huge; the
+    gate is then exactly 0, the right limit, so no warning is due."""
+    params = lstm_model(6)
+    for lstm in (params.char_params.fwd, params.char_params.bwd):
+        lstm.wx.data[:] = -1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = M.forward(instance(0, ["aspirin", "mice", "headache"], 1), params, Rng(1))
+        T.sigmoid(Tensor([-1e300, 0.0, 1e300]))
+    assert np.all(np.isfinite(out.probabilities))
 
 
 class TestOp:

@@ -284,6 +284,15 @@ class TestAccumulateGrad:
             x.accumulate_grad(np.asarray(1.0))
 
 
+def test_grad_buffer_zero_fills_on_first_touch_only():
+    x = t([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+    buf = x.grad_buffer()
+    assert buf is x.grad and buf.shape == x.shape and not buf.any()
+    buf[1] += 2.5
+    assert x.grad_buffer() is buf
+    np.testing.assert_array_equal(x.grad, [[0.0, 0.0], [2.5, 2.5]])
+
+
 # ---------------------------------------------------------------------------
 # no_grad
 
