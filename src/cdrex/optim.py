@@ -53,15 +53,16 @@ class NadamState:
 
 def nadam_step(named_params: list[tuple[str, Tensor]], state: NadamState) -> NadamState:
     """One in-place update over (name, tensor) pairs, reading each
-    tensor's accumulated gradient.  Missing gradients count as zero; a NaN
-    gradient aborts the step naming the parameter.
+    tensor's accumulated gradient through `grad_buffer()`, so a parameter
+    no gradient reached steps with zeros; a NaN gradient aborts the step
+    naming the parameter.
 
     Each expression is evaluated into two scratch arrays per parameter
     with the operands and operation order of the formulas in the module
     docstring, so the result is bit for bit that of evaluating them with
     a fresh array per operation."""
     for name, tensor in named_params:
-        if tensor.grad is not None and np.isnan(tensor.grad).any():
+        if np.isnan(tensor.grad_buffer()).any():
             raise NumericsError(f"NaN gradient for parameter {name!r}")
     state.step += 1
     t = state.step
@@ -69,7 +70,7 @@ def nadam_step(named_params: list[tuple[str, Tensor]], state: NadamState) -> Nad
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
     for name, tensor in named_params:
-        g = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
+        g = tensor.grad_buffer()
         m = state.first.get(name)
         if m is None:
             m = state.first[name] = np.zeros_like(tensor.data)
@@ -161,34 +162,39 @@ def training_relations(docs: list[Document]) -> set[tuple[str, str]]:
     return pairs
 
 
+def fit_instances(instances: list[RelationInstance], n: int) -> list[RelationInstance]:
+    """The instances shrunk to at most n tokens.  One whose two entities
+    lie more than n tokens apart cannot fit and is dropped, with one
+    warning."""
+    fitted = []
+    for inst in instances:
+        span = abs(inst.i1 - inst.i2) + 1
+        if span > n:
+            log.warning("instance %s: entities span %d tokens, more than the model's "
+                        "n=%d; skipped", inst.uid, span, n)
+            continue
+        fitted.append(fit_instance(inst, n))
+    return fitted
+
+
 def predict_pairs(split: DataSplit, params: ModelParams,
                   train_relations: set[tuple[str, str]]) -> dict[str, set[tuple[str, str]]]:
     """Document-level predicted pairs for a split, via mention-level
     classification plus the training co-occurrence rule.  An instance
-    whose two entities cannot both fit in the model's n tokens is
-    labelled 0 with a warning."""
+    that `fit_instances` drops predicts no pair, as one labelled 0."""
     rng = Rng(0)  # inference is deterministic; the stream is never used
     # Parameters are fixed for this call only, so the character encodings
     # are shared across the split and dropped on return.
     char_cache: dict = {}
     by_doc: dict[str, list[RelationInstance]] = {}
-    for inst in split.instances:
+    for inst in fit_instances(split.instances, params.hyper.n):
         by_doc.setdefault(inst.pmid, []).append(inst)
     predicted = {}
-    n = params.hyper.n
     for doc in split.documents:
         instances = by_doc.get(doc.pmid, [])
-        labels = {}
-        for inst in instances:
-            span = abs(inst.i1 - inst.i2) + 1
-            if span > n:
-                log.warning("instance %s: entities span %d tokens, more than the model's "
-                            "n=%d; labelled 0", inst.uid, span, n)
-                labels[inst.uid] = 0
-                continue
-            fitted = fit_instance(inst, n)
-            labels[inst.uid] = model.forward(fitted, params, rng, training=False,
-                                             char_cache=char_cache).label
+        labels = {inst.uid: model.forward(inst, params, rng, training=False,
+                                          char_cache=char_cache).label
+                  for inst in instances}
         predicted[doc.pmid] = evaluation.aggregate_document(doc, instances, labels,
                                                             train_relations)
     return predicted
@@ -241,6 +247,9 @@ def train(config: TrainConfig, train_data: DataSplit, dev_data: DataSplit | None
     """Full training run: per-epoch shuffling, fresh UNK masks, minibatch
     Nadam updates, and dev-F1 model selection.
 
+    Both splits go through `fit_instances` once, before the first epoch:
+    an instance whose entities do not fit in n tokens is skipped with one
+    warning, and ValueError is raised when no training instance fits.
     Without a dev split the final-epoch parameters are returned and no F1
     is recorded.  A numeric failure during training, or any failure during
     dev evaluation, aborts the run but returns the partial report with
@@ -266,7 +275,11 @@ def train(config: TrainConfig, train_data: DataSplit, dev_data: DataSplit | None
     named = params.named_tensors()
     state = NadamState(learning_rate=config.learning_rate)
     train_rel = training_relations(train_data.documents)
-    instances = [fit_instance(inst, vocab.n) for inst in train_data.instances]
+    instances = fit_instances(train_data.instances, vocab.n)
+    if not instances:
+        raise ValueError(f"no training instance fits in n={vocab.n} tokens")
+    if dev_data is not None:
+        dev_data = DataSplit(dev_data.documents, fit_instances(dev_data.instances, vocab.n))
     best: dict[str, np.ndarray] | None = None
 
     for epoch in range(1, config.epochs + 1):

@@ -4,7 +4,19 @@ The engine is deliberately minimal: it provides exactly the operations the
 relation classifier needs.  Every operation returns a new `Tensor` whose
 node records its operands and a backward rule; calling `backward()` on a
 scalar result walks the recorded graph in reverse topological order and
-accumulates gradients into every reachable tensor with `requires_grad`.
+accumulates gradients into the reachable tensors with `requires_grad`.
+
+Gradients follow one rule: `Tensor.grad_buffer()` is the only place a
+gradient array is created, zero-filled on a tensor's first touch, and
+every backward rule adds into it in place, a whole array through
+`accumulate_grad` or a few rows or entries as a scatter.  A tensor that
+no gradient reaches keeps `grad` None, and readers (Nadam, `grad_check`)
+see zeros through the same call.  No gradient buffer ever holds -0.0:
+each starts as +0.0 zeros, or ones at the root, and only additions change
+it, and in round-to-nearest `x + y` is -0.0 only when both operands are.
+So adding a few values into a slice in place gives the bits of adding a
+dense array that holds +0.0 everywhere else, and a first contribution
+`0.0 + g` has the bits of `g + 0.0` (-0.0 becomes +0.0; NaN and inf pass).
 
 Graphs are confined to a single thread for the duration of a forward and
 backward pass, and backward() must run before any operand's data is
@@ -29,10 +41,10 @@ order (sigmoid backward is `(g * s) * (1 - s)`, tanh backward
 `g * (1 - y * y)`), and `wh` and `b` receive one contribution per
 (sequence, step), sequences in order and each from its last step back to
 its first, added in that order.  The per-step graph stores each node's
-first gradient as `g + 0.0`, which changes only the sign of exact zeros;
+first gradient as `0.0 + g`, which changes only the sign of exact zeros;
 the op skips that inside, because products and sums keep such a
-difference confined to zeros and every leaf gradient is stored from
-`+ 0.0` or from zeros, which erases it.  The `h @ wh` and
+difference confined to zeros and every leaf gradient is added into +0.0
+zeros, which erases it.  The `h @ wh` and
 `wh @ dgates` products run as stacks of matrix-vector products, which
 round as the single ones do.  The input projection `x_w @ wx` and its
 gradients `dX_w @ wx.T` and `x_w.T @ dX_w` stay one product per sequence:
@@ -88,8 +100,11 @@ class NumericsError(ArithmeticError):
 class Tensor:
     """Dense row-major float64 array, optionally tracked for gradients.
 
-    `grad` is populated (as a numpy array of the same shape) by
-    `backward()`; it accumulates across calls until reset to None.
+    `grad` is None until `grad_buffer()` first creates it, zero-filled
+    and of the data's shape; every backward rule adds into it there, and
+    it accumulates across calls until reset to None.  Read it through
+    `grad_buffer()` too, so that a tensor no gradient reached reads as
+    zeros.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "op")
@@ -115,15 +130,11 @@ class Tensor:
         return float(self.data)
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        """Add `g` (of the data's shape) into `grad`.  The first
-        contribution is stored as `g + 0.0`, a fresh array with the bits
-        of `zeros + g` (-0.0 becomes +0.0), without a zero fill."""
+        """Add `g`, of the data's shape, into `grad_buffer()`."""
         if g.shape != self.data.shape:
             raise ShapeError(f"gradient of shape {g.shape} for data of shape {self.data.shape}")
-        if self.grad is None:
-            self.grad = np.add(g, 0.0, dtype=np.float64)
-        else:
-            self.grad += g
+        grad = self.grad_buffer()
+        grad += g
 
     def grad_buffer(self) -> np.ndarray:
         """`grad` for a backward rule to write into in place, zero-filled
@@ -144,11 +155,6 @@ class Tensor:
             if node._backward_fn is None or node.grad is None:
                 continue
             node._backward_fn(node.grad)
-        # Contract: every requires_grad tensor reachable from the root ends
-        # up with a populated gradient, even if it is all zeros.
-        for node in order:
-            if node.requires_grad:
-                node.grad_buffer()
 
 
 def graph_nodes(root: Tensor) -> list[Tensor]:
@@ -346,9 +352,7 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
         raise ShapeError(f"slice_last: [{start}:{stop}] of {a.shape}")
     def backward(g):
         if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            acc[..., start:stop] = g
-            a.accumulate_grad(acc)
+            a.grad_buffer()[..., start:stop] += g
     return _result(a.data[..., start:stop].copy(), (a,), backward, "slice")
 
 
@@ -481,10 +485,9 @@ def lstm_final_states(x: Tensor, lengths: Sequence[int], wx: Tensor, wh: Tensor,
                 dc_next = dc * ifo[:, u:2 * u]
         spans = list(zip(offsets[:-1], offsets[1:]))
         if x.requires_grad:
-            dx = np.empty_like(x.data)
+            dx = x.grad_buffer()
             for lo, hi in spans:
-                dx[lo:hi] = dgates_at[lo:hi] @ wx.data.T
-            x.accumulate_grad(dx)
+                dx[lo:hi] += dgates_at[lo:hi] @ wx.data.T
         if wx.requires_grad:
             for lo, hi in spans:
                 wx.accumulate_grad(x.data[lo:hi].T @ dgates_at[lo:hi])
@@ -501,15 +504,14 @@ def lstm_final_states(x: Tensor, lengths: Sequence[int], wx: Tensor, wh: Tensor,
 
 
 def _accumulate_in_order(t: Tensor, seq: np.ndarray, fill, chunk: int = 64) -> None:
-    """Add one contribution per entry of `seq` into `t.grad`, one after
-    another, as that many `accumulate_grad` calls would.  `fill(k, out)`
-    writes the contributions of the entries `k` into `out`.
+    """Add one contribution per entry of `seq` into `t.grad_buffer()`,
+    one after another, as that many `accumulate_grad` calls would.
+    `fill(k, out)` writes the contributions of the entries `k` into `out`.
 
     `np.add.reduce` over the leading axis of a C-contiguous stack adds its
     rows in sequence (a test pins this), so a stack that starts from the
-    current gradient, or from zeros, gives the same bits.  One reused
-    buffer holds the stack: fresh megabyte temporaries cost several times
-    the arithmetic."""
+    current gradient gives the same bits.  One reused buffer holds the
+    stack: fresh megabyte temporaries cost several times the arithmetic."""
     acc = t.grad_buffer()
     buf = np.empty((min(chunk, len(seq)) + 1,) + t.shape)
     for lo in range(0, len(seq), chunk):
@@ -517,8 +519,7 @@ def _accumulate_in_order(t: Tensor, seq: np.ndarray, fill, chunk: int = 64) -> N
         stack = buf[:len(k) + 1]
         stack[0] = acc
         fill(k, stack[1:])
-        acc = np.add.reduce(stack, axis=0)
-    t.grad = acc
+        np.add.reduce(stack, axis=0, out=acc)
 
 
 def max_over_time(feature_map: Tensor) -> Tensor:
@@ -530,9 +531,7 @@ def max_over_time(feature_map: Tensor) -> Tensor:
     cols = np.arange(feature_map.shape[1])
     def backward(g):
         if feature_map.requires_grad:
-            acc = np.zeros_like(feature_map.data)
-            acc[argmax, cols] = g
-            feature_map.accumulate_grad(acc)
+            feature_map.grad_buffer()[argmax, cols] += g
     return _result(feature_map.data[argmax, cols], (feature_map,), backward, "max_over_time")
 
 
@@ -582,9 +581,7 @@ def nll_loss(p: Tensor, gold: int) -> Tensor:
         log.warning("nll_loss: p[gold]=%.3e clamped at %.0e", pg, LOG_CLAMP)
     def backward(g):
         if p.requires_grad and not clamped:
-            acc = np.zeros_like(p.data)
-            acc[gold] = -float(g) / pg
-            p.accumulate_grad(acc)
+            p.grad_buffer()[gold] += -float(g) / pg
     return _result(np.asarray(-np.log(max(pg, LOG_CLAMP))), (p,), backward, "nll")
 
 
@@ -602,7 +599,7 @@ def grad_check(f: Callable[[], Tensor], inputs: Sequence[Tensor], eps: float = 1
         t.grad = None
     out = f()
     out.backward()
-    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in inputs]
+    analytic = [t.grad_buffer().copy() for t in inputs]
 
     worst = 0.0
     for t, a in zip(inputs, analytic):

@@ -8,6 +8,12 @@
 - `build_instances` scanning every token for each mention and each pair,
   which `corpus.build_instances` replaced with binary searches.  Tests
   require the same instances and warnings, in the same order.
+- The gradient rules that `Tensor.grad_buffer()` replaced (inside
+  `old_gradient_rules()`): a first contribution stored as a fresh
+  `g + 0.0`, scatters that build a zero-filled dense temporary and add
+  it, and a last pass of `backward` that zero-fills every reachable node
+  no gradient reached.  Tests require the same loss and gradients, bit
+  for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from cdrex import corpus, encoders
 from cdrex import tensor as T
 from cdrex.corpus import CHEMICAL, DISEASE, Document, Mention, RelationInstance, Token
 from cdrex.encoders import CharEncoderParams, EmbeddingTable, LstmParams, _char_ids
-from cdrex.tensor import Tensor
+from cdrex.tensor import ShapeError, Tensor
 
 
 def _lstm_final_state(xproj: Tensor, steps: range, p: LstmParams) -> Tensor:
@@ -141,3 +147,82 @@ def build_instances(doc: Document, n_max: int = corpus.DEFAULT_MAX_TOKENS) -> li
             ))
             seq += 1
     return instances
+
+
+def _accumulate_grad(self: Tensor, g: np.ndarray) -> None:
+    if g.shape != self.data.shape:
+        raise ShapeError(f"gradient of shape {g.shape} for data of shape {self.data.shape}")
+    if self.grad is None:
+        self.grad = np.add(g, 0.0, dtype=np.float64)
+    else:
+        self.grad += g
+
+
+def _backward(self: Tensor) -> None:
+    if self.data.ndim != 0:
+        raise ShapeError(f"backward() needs a scalar root, got shape {self.shape}")
+    order = T.graph_nodes(self)
+    self.grad = np.ones_like(self.data)
+    for node in reversed(order):
+        if node._backward_fn is None or node.grad is None:
+            continue
+        node._backward_fn(node.grad)
+    for node in order:
+        if node.requires_grad and node.grad is None:
+            node.grad = np.zeros_like(node.data)
+
+
+def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
+    if not (0 <= start < stop <= a.shape[-1]):
+        raise ShapeError(f"slice_last: [{start}:{stop}] of {a.shape}")
+    def backward(g):
+        if a.requires_grad:
+            acc = np.zeros_like(a.data)
+            acc[..., start:stop] = g
+            a.accumulate_grad(acc)
+    return T._result(a.data[..., start:stop].copy(), (a,), backward, "slice")
+
+
+def max_over_time(feature_map: Tensor) -> Tensor:
+    if feature_map.data.ndim != 2 or feature_map.shape[0] < 1:
+        raise ShapeError(f"max_over_time: needs a nonempty (L, m) map, got {feature_map.shape}")
+    argmax = feature_map.data.argmax(axis=0)
+    cols = np.arange(feature_map.shape[1])
+    def backward(g):
+        if feature_map.requires_grad:
+            acc = np.zeros_like(feature_map.data)
+            acc[argmax, cols] = g
+            feature_map.accumulate_grad(acc)
+    return T._result(feature_map.data[argmax, cols], (feature_map,), backward, "max_over_time")
+
+
+def nll_loss(p: Tensor, gold: int) -> Tensor:
+    if p.data.ndim != 1:
+        raise ShapeError(f"nll_loss: p must be 1-D, got {p.shape}")
+    if not 0 <= gold < p.shape[0]:
+        raise ValueError(f"nll_loss: gold index {gold} outside [0, {p.shape[0]})")
+    pg = float(p.data[gold])
+    clamped = pg < T.LOG_CLAMP
+    def backward(g):
+        if p.requires_grad and not clamped:
+            acc = np.zeros_like(p.data)
+            acc[gold] = -float(g) / pg
+            p.accumulate_grad(acc)
+    return T._result(np.asarray(-np.log(max(pg, T.LOG_CLAMP))), (p,), backward, "nll")
+
+
+@contextlib.contextmanager
+def old_gradient_rules():
+    """Inside the block gradients are stored by the rules above, in place
+    of `grad_buffer()`'s in-place additions."""
+    rules = [(Tensor, "accumulate_grad", _accumulate_grad), (Tensor, "backward", _backward),
+             (T, "slice_last", slice_last), (T, "max_over_time", max_over_time),
+             (T, "nll_loss", nll_loss)]
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in rules]
+    for owner, name, rule in rules:
+        setattr(owner, name, rule)
+    try:
+        yield
+    finally:
+        for owner, name, current in saved:
+            setattr(owner, name, current)

@@ -1,11 +1,16 @@
 import json
 import logging
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import synthetic_corpus_text
+import cdrex
 from cdrex import optim
 from cdrex.cli import (
     EXIT_CONFIG,
@@ -183,6 +188,23 @@ class TestTrainCommand:
         assert (report.read_bytes(), model_path.read_bytes()) == first
 
 
+@pytest.mark.parametrize("variant", ["cnn", "cnn+cnnchar", "cnn+lstmchar"])
+def test_train_is_byte_identical_across_hash_seeds(corpora, variant):
+    """Two processes with different string hashing write the same model
+    and report: no output depends on set or dict-of-str iteration order."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cdrex.__file__).parents[1]))
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = corpora["dir"] / f"hash{hash_seed}"
+        args = train_args(corpora, out.with_suffix(".model"),
+                          ["--variant", variant, "--report", str(out.with_suffix(".report"))])
+        subprocess.run([sys.executable, "-m", "cdrex.cli", *args], check=True, capture_output=True,
+                       env={**env, "PYTHONHASHSEED": hash_seed}, timeout=120)
+        report = out.with_suffix(".report").read_text().replace(str(out), "OUT")
+        outputs.append((out.with_suffix(".model").read_bytes(), report))
+    assert outputs[0] == outputs[1]
+
+
 class TestEvalCommand:
     def trained_model(self, corpora, capsys, extra=(), name="model.bin"):
         model_path = corpora["dir"] / name
@@ -290,7 +312,7 @@ class TestEvalCommand:
         assert "Traceback" not in err
         warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
         assert warnings == ["instance 99#0: entities span 9 tokens, more than the model's "
-                            "n=5; labelled 0"]
+                            "n=5; skipped"]
         if command == "predict":  # no training relations: nothing else predicts the pair
             assert not any(line.startswith("99\t") for line in out.splitlines())
 

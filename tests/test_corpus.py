@@ -387,3 +387,56 @@ def test_mention_and_document_dataclasses():
     doc = Document("1", "Title.", "Abstract.", [Mention(0, 5, "Title", "Chemical", "C1")])
     assert doc.text == "Title. Abstract."
     assert doc.mentions[0].end == 5
+
+
+# ---------------------------------------------------------------------------
+# PubTator round trip
+
+# No tab and no line break of any kind: both would end a PubTator field.
+_TEXT = st.text(alphabet=st.sampled_from(list("abcXYZ019 .,;:()-|'\"+éβ")), max_size=60)
+_IDS = st.sampled_from(["C1", "C22", "D3", "D004", "MESH:9"])
+
+
+@st.composite
+def pubtator_document(draw, pmid: str) -> Document:
+    title, abstract = draw(_TEXT), draw(_TEXT)
+    text = title + " " + abstract
+    mentions = []
+    for _ in range(draw(st.integers(0, 6))):
+        start = draw(st.integers(0, len(text) - 1))
+        end = draw(st.integers(start + 1, min(len(text), start + 15)))
+        mentions.append(Mention(start, end, text[start:end],
+                                draw(st.sampled_from(["Chemical", "Disease"])), draw(_IDS)))
+    gold = draw(st.sets(st.tuples(_IDS, _IDS), max_size=3))
+    return Document(pmid, title, abstract, mentions, gold)
+
+
+def render_pubtator(docs: list[Document]) -> str:
+    blocks = []
+    for doc in docs:
+        lines = [f"{doc.pmid}|t|{doc.title}", f"{doc.pmid}|a|{doc.abstract}"]
+        lines += [f"{doc.pmid}\t{m.start}\t{m.end}\t{m.text}\t{m.kind}\t{m.mesh_id}"
+                  for m in doc.mentions]
+        lines += [f"{doc.pmid}\tCID\t{chem}\t{dis}" for chem, dis in sorted(doc.gold_cid)]
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda count: st.tuples(*[pubtator_document(str(100 + k)) for k in range(count)])),
+    st.integers(1, 30))
+def test_pubtator_round_trip(docs, n_max):
+    docs = list(docs)
+    text = render_pubtator(docs)
+    assert parse_pubtator(text) == docs
+    assert parse_pubtator(io.StringIO(text)) == docs
+    for doc in docs:
+        instances = build_instances(doc, n_max)
+        assert [inst.uid for inst in instances] == [f"{doc.pmid}#{k}" for k in range(len(instances))]
+        for inst in instances:
+            assert inst.pmid == doc.pmid
+            assert 1 <= len(inst.tokens) <= n_max
+            assert 0 <= inst.i1 < len(inst.tokens) and 0 <= inst.i2 < len(inst.tokens)
+            assert inst.i1 != inst.i2
+            assert inst.label == int((inst.chem_id, inst.dis_id) in doc.gold_cid)

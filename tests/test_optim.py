@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import logging
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from cdrex import encoders
 from cdrex import model as M
 from cdrex import optim
 from cdrex.corpus import build_instances, build_vocab, fit_instance, parse_pubtator
-from cdrex.evaluation import aggregate_document
+from cdrex.evaluation import aggregate_document, prf1
 from cdrex.optim import (
     DataSplit,
     GRID_DROPOUTS,
@@ -197,6 +198,28 @@ def synthetic_split(count: int, start: int = 0) -> DataSplit:
     return DataSplit(docs, instances)
 
 
+def split_with_wide_pair(count: int, start: int = 0) -> tuple[DataSplit, str]:
+    """`synthetic_split(count, start)` plus one document whose entities
+    span 10 tokens, with a gold pair (C9, D9) no other document has;
+    returns the split and that pair's uid."""
+    pmid = str(1000 + start + count)
+    title = "chem0 induced a rare and very severe form of dis0 today."
+    dis = title.index("dis0")
+    wide = "\n".join([f"{pmid}|t|{title}", f"{pmid}|a|Plain filler sentence here.",
+                      f"{pmid}\t0\t5\tchem0\tChemical\tC9",
+                      f"{pmid}\t{dis}\t{dis + 4}\tdis0\tDisease\tD9", f"{pmid}\tCID\tC9\tD9"])
+    split = synthetic_split(count, start)
+    doc = parse_pubtator(wide)[0]
+    (inst,) = build_instances(doc)
+    assert abs(inst.i1 - inst.i2) + 1 == 10
+    return DataSplit(split.documents + [doc], split.instances + [inst]), inst.uid
+
+
+def skip_warnings(caplog, uid: str) -> list[str]:
+    return [r.getMessage() for r in caplog.records
+            if r.levelno == logging.WARNING and r.getMessage().startswith(f"instance {uid}:")]
+
+
 def fail_nadam_after(monkeypatch, steps: int, learning_rate: float | None = None) -> None:
     """Make every Nadam update after the first `steps` of a run fail as on
     a NaN gradient; with `learning_rate`, only in runs at that rate."""
@@ -266,7 +289,7 @@ class TestTrain:
         split = synthetic_split(6)
         broken_dev = synthetic_split(4, start=40)
         # Adjacent entities, one past the last token: the dev forward raises.
-        # (Entities further apart than the model's n are labelled 0 instead.)
+        # (Entities further apart than the model's n are skipped instead.)
         inst = broken_dev.instances[0]
         broken_dev.instances[0] = dataclasses.replace(inst, i1=len(inst.tokens) - 1,
                                                       i2=len(inst.tokens))
@@ -288,6 +311,54 @@ class TestTrain:
         report, _ = train(tiny_config(batch_size=8), split, None, model_path=path)
         assert report.status.startswith("aborted") and report.model_path is None
         assert not path.exists()
+
+    def test_training_pair_wider_than_n_is_skipped_with_one_warning(self, caplog, monkeypatch):
+        split, uid = split_with_wide_pair(6)
+        trained = []
+        real_loss = M.loss
+
+        def loss(batch, *args, **kwargs):
+            trained.extend(inst.uid for inst in batch)
+            return real_loss(batch, *args, **kwargs)
+
+        monkeypatch.setattr(M, "loss", loss)
+        with caplog.at_level(logging.WARNING):
+            report, params = train(tiny_config(n_max=5, epochs=2), split, None)
+        assert report.status == "trained" and params.hyper.n == 5
+        assert skip_warnings(caplog, uid) == [
+            f"instance {uid}: entities span 10 tokens, more than the model's n=5; skipped"]
+        assert sorted(trained) == sorted(2 * [i.uid for i in split.instances if i.uid != uid])
+
+    def test_no_training_pair_fits_in_n(self):
+        # The synthetic pairs' entities span 3 tokens.
+        with pytest.raises(ValueError, match="n=2"):
+            train(tiny_config(n_max=2, epochs=1), synthetic_split(4), None)
+
+    def test_dev_pair_wider_than_n_warns_once_per_run(self, caplog):
+        dev, uid = split_with_wide_pair(4, start=20)
+        with caplog.at_level(logging.WARNING):
+            report, _ = train(tiny_config(epochs=3), synthetic_split(8), dev)
+        assert len(report.epochs) == 3
+        assert len(skip_warnings(caplog, uid)) == 1
+
+    def test_dev_scores_count_a_skipped_pair_as_labelled_0(self):
+        dev, uid = split_with_wide_pair(4, start=20)
+        train_split = synthetic_split(8)
+        report, params = train(tiny_config(epochs=1), train_split, dev)
+        n = params.hyper.n
+        # The scoring rule before pairs wider than n were skipped: label 0.
+        train_rel = training_relations(train_split.documents)
+        predicted = {}
+        for doc in dev.documents:
+            instances = [i for i in dev.instances if i.pmid == doc.pmid]
+            labels = {i.uid: 0 if i.uid == uid else
+                      M.forward(fit_instance(i, n), params, Rng(0)).label for i in instances}
+            predicted[doc.pmid] = aggregate_document(doc, instances, labels, train_rel)
+        expected = prf1({doc.pmid: set(doc.gold_cid) for doc in dev.documents}, predicted)
+        record = report.epochs[0]
+        assert (record.precision, record.recall, record.f1) == expected
+        assert dev_f1(dev, params, train_rel) == expected
+        assert expected[1] < 100.0  # the skipped gold pair is missed
 
     def test_loss_strictly_decreases_over_first_steps(self):
         # Broken gradients would show up as a non-decreasing frozen-batch loss.
