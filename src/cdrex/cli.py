@@ -437,6 +437,9 @@ def _op_checks(rng: Rng) -> float:
     for reverse in (False, True):
         check(lambda r=reverse: T.sum_all(
             T.mul(T.lstm_final_states(seqs, [1, 2, 5], *lstm, r), mix)), [seqs] + lstm)
+
+    weights = T.Tensor(rng.fill_uniform((4,), -1, 1))
+    check(lambda: T.sum_all(T.mul(T.conv_relu_max(inp, filt, bias), weights)), [inp, filt, bias])
     return worst
 
 

@@ -206,8 +206,7 @@ def char_cnn_encode(word: str, chartable: EmbeddingTable, params: CharEncoderPar
     Words shorter than the window are right-padded with PADCHAR."""
     window = params.filters.shape[1]
     mat = T.gather(chartable.weights, _char_ids(word, chartable, min_len=window))
-    fm = T.relu(T.conv1d_valid(mat, params.filters, params.bias))
-    return T.max_over_time(fm)
+    return T.conv_relu_max(mat, params.filters, params.bias)
 
 
 def char_bilstm_encode_forms(words: list[str], chartable: EmbeddingTable,
@@ -308,12 +307,10 @@ def unk_replace(tokens: list[str], counts: dict[str, int], rng: Rng) -> list[str
     """Independently replace each token by UNK for the word-lookup path,
     with probability 0.25 / (0.25 + n_w) given its training count n_w.
     Character-level input is never touched (callers keep the originals)."""
-    out = []
-    for tok in tokens:
-        n_w = counts.get(tok.lower(), 0)
-        p = 0.25 / (0.25 + n_w)
-        out.append(UNK_WORD if rng.random() < p else tok)
-    return out
+    n_w = np.array([counts.get(tok.lower(), 0) for tok in tokens], dtype=np.float64)
+    # `fill_uniform` gives the values of one `rng.random()` per token.
+    drop = rng.fill_uniform((len(tokens),), 0.0, 1.0) < 0.25 / (0.25 + n_w)
+    return [UNK_WORD if d else tok for tok, d in zip(tokens, drop)]
 
 
 class VectorFormatError(ValueError):

@@ -173,8 +173,7 @@ def class_probabilities(instance, params: ModelParams, rng: Rng, training: bool,
     run under `tensor.no_grad`."""
     mat = encoders.build_input_matrix(instance, params.tables, params.char_params,
                                       word_tokens=word_tokens, char_cache=char_cache)
-    fm = T.relu(T.conv1d_valid(mat, params.conv_filters, params.conv_bias))
-    z = T.max_over_time(fm)
+    z = T.conv_relu_max(mat, params.conv_filters, params.conv_bias)
     z = T.dropout(z, params.hyper.rho, rng, training)
     return T.softmax(T.add(T.matmul(params.w1, z), params.b1))
 

@@ -31,6 +31,27 @@ arithmetic as with the graph, bit for bit.  The switch is process-wide
 (not per thread) and the previous state comes back when the block exits,
 also on an exception.
 
+`conv_relu_max` runs a convolution, its ReLU and the max over time as
+one node, in place of the chain `conv1d_valid → relu → max_over_time`
+(kept as its test oracle).  The forward repeats the chain's arithmetic:
+the bias plus the k tap products in tap order, `np.maximum(pre, 0)` and
+the first-occurrence argmax of the ReLU'd map.  Max pooling sends column
+f's gradient to one row, `argmax[f]`, and ReLU only where the value is
+positive, so the chain's (L, m) map gradient G holds `gz = g * (value >
+0)` at the argmax rows (up to the sign of a zero) and zeros elsewhere.
+Entry (f, h, j) of the chain's filter gradient `G.T @ input[h:h+L]` is
+then one product `gz[f] * input[argmax[f] + h, j]` plus zero terms, and
+entry f of its bias gradient, a column sum of G, is `gz[f]` plus zeros.
+A sum of one value and zeros is that value, up to the sign of a zero
+result, and no buffer holds -0.0 (see above), so adding the products
+alone, gathered from the argmax windows, leaves every gradient bit as
+the GEMMs do; the columns whose `gz` is zero, about half of them under
+dropout, are skipped.  The input gradient `G @ filters[:, h, :]` sums
+over all m columns with nonzero terms, so it stays the chain's dense
+product per tap, over a map that holds `gz` where G holds its values;
+taking it from the argmax rows alone reorders that sum and changes the
+last bits.
+
 `lstm_final_states` runs one LSTM direction over many sequences as a
 single node with a hand-written backward through time.  Its values and
 every gradient it passes on equal, bit for bit, those of the graph of
@@ -326,7 +347,15 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
 def gather(table: Tensor, indices) -> Tensor:
     """Select rows of a 2-D tensor; gradients scatter-add back.  The
     scatter writes into the table's gradient buffer directly, so embedding
-    tables never allocate per-lookup temporaries of their own size."""
+    tables never allocate per-lookup temporaries of their own size.
+
+    Indices that form one ascending run of consecutive rows (a position
+    table's lookup) scatter as a slice add: each row receives one
+    addition, as with `np.add.at`, at a small part of the cost.  Other
+    indices may repeat (the word table's PAD rows), and scatter through
+    one `np.add.at` over the flat entries: each entry receives its
+    additions in index order, as from a row-wise `np.add.at`, which is
+    several times slower."""
     idx = np.asarray(indices, dtype=np.intp)
     if table.data.ndim != 2 or idx.ndim != 1:
         raise ShapeError("gather: needs a 2-D table and 1-D indices")
@@ -334,7 +363,13 @@ def gather(table: Tensor, indices) -> Tensor:
         raise ShapeError("gather: index out of range")
     def backward(g):
         if table.requires_grad:
-            np.add.at(table.grad_buffer(), idx, g)
+            grad = table.grad_buffer()
+            if idx.size and (np.diff(idx) == 1).all():
+                grad[idx[0]:idx[-1] + 1] += g
+            else:
+                width = table.shape[1]
+                entries = (idx[:, None] * width + np.arange(width)).reshape(-1)
+                np.add.at(grad.reshape(-1), entries, g.reshape(-1))
     return _result(table.data[idx], (table,), backward, "gather")
 
 
@@ -360,28 +395,42 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
 # Model-level operations
 
 
+def _conv_shape(op: str, input: Tensor, filters: Tensor, bias: Tensor) -> tuple[int, int]:
+    """(k, L) of a valid convolution of input (n, d) with filters (m, k, d)
+    and bias (m,), L = n - k + 1 >= 1; ShapeError otherwise."""
+    if input.data.ndim != 2 or filters.data.ndim != 3 or bias.data.ndim != 1:
+        raise ShapeError(f"{op}: expects input (n,d), filters (m,k,d), bias (m,)")
+    n, d = input.shape
+    m, k, fd = filters.shape
+    if fd != d:
+        raise ShapeError(f"{op}: filter width {fd} != input width {d}")
+    if bias.shape != (m,):
+        raise ShapeError(f"{op}: bias shape {bias.shape} != ({m},)")
+    if k < 1 or n < k:
+        raise ShapeError(f"{op}: need n >= k >= 1, got n={n}, k={k}")
+    return k, n - k + 1
+
+
+def _conv_forward(input: np.ndarray, filters: np.ndarray, bias: np.ndarray,
+                  k: int, length: int) -> np.ndarray:
+    # k slim matrix products over contiguous row slices, added in tap
+    # order onto the bias; no (L, k*d) window matrix is materialized.
+    out = np.broadcast_to(bias, (length, bias.shape[0])).copy()
+    for h in range(k):
+        out += input[h:h + length] @ filters[:, h, :].T
+    return out
+
+
 def conv1d_valid(input: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
     """Valid 1-D convolution over the row (time) axis, pre-activation.
 
     input is (n, d), filters (m, k, d), bias (m,); the output row j, column
     f is sum_h dot(filters[f][h], input[j+h]) + bias[f], shape (n-k+1, m).
-    Computed as k slim matrix products over contiguous row slices, which
-    avoids materializing an (n-k+1, k*d) window matrix.
+    The model runs `conv_relu_max`; this op, `relu` and `max_over_time`
+    are the chain it replaced, kept as its test oracle.
     """
-    if input.data.ndim != 2 or filters.data.ndim != 3 or bias.data.ndim != 1:
-        raise ShapeError("conv1d_valid: expects input (n,d), filters (m,k,d), bias (m,)")
-    n, d = input.shape
-    m, k, fd = filters.shape
-    if fd != d:
-        raise ShapeError(f"conv1d_valid: filter width {fd} != input width {d}")
-    if bias.shape != (m,):
-        raise ShapeError(f"conv1d_valid: bias shape {bias.shape} != ({m},)")
-    if k < 1 or n < k:
-        raise ShapeError(f"conv1d_valid: need n >= k >= 1, got n={n}, k={k}")
-    length = n - k + 1
-    out_data = np.broadcast_to(bias.data, (length, m)).copy()
-    for h in range(k):
-        out_data += input.data[h:h + length] @ filters.data[:, h, :].T
+    k, length = _conv_shape("conv1d_valid", input, filters, bias)
+    out_data = _conv_forward(input.data, filters.data, bias.data, k, length)
 
     def backward(g):
         if bias.requires_grad:
@@ -396,6 +445,42 @@ def conv1d_valid(input: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
                 input_grad[h:h + length] += g @ filters.data[:, h, :]
 
     return _result(out_data, (input, filters, bias), backward, "conv1d_valid")
+
+
+def conv_relu_max(input: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
+    """Max over time of the ReLU of a valid 1-D convolution, shape (m,).
+
+    One node with the values of `max_over_time(relu(conv1d_valid(input,
+    filters, bias)))`, bit for bit, and the same gradients; see the
+    module docstring.  Column f's gradient flows through its first
+    maximal row `argmax[f]` only, and not at all where the value is 0.
+    """
+    k, length = _conv_shape("conv_relu_max", input, filters, bias)
+    fm = _conv_forward(input.data, filters.data, bias.data, k, length)
+    np.maximum(fm, 0.0, out=fm)
+    argmax = fm.argmax(axis=0)
+    cols = np.arange(fm.shape[1])
+    value = fm[argmax, cols]
+
+    def backward(g):
+        gz = g * (value > 0.0)
+        if bias.requires_grad:
+            bias.accumulate_grad(gz)
+        if filters.requires_grad:
+            # Entry (f, h, j) of the chain's filter GEMM is one product;
+            # columns with no gradient would add only zeros.
+            live = np.flatnonzero(gz)
+            windows = input.data[argmax[live, None] + np.arange(k)]
+            windows *= gz[live, None, None]
+            filters.grad_buffer()[live] += windows
+        if input.requires_grad:
+            dense = np.zeros((length, cols.size))
+            dense[argmax, cols] = gz
+            input_grad = input.grad_buffer()
+            for h in range(k):
+                input_grad[h:h + length] += dense @ filters.data[:, h, :]
+
+    return _result(value, (input, filters, bias), backward, "conv_relu_max")
 
 
 def lstm_final_states(x: Tensor, lengths: Sequence[int], wx: Tensor, wh: Tensor, b: Tensor,

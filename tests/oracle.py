@@ -14,6 +14,15 @@
   it, and a last pass of `backward` that zero-fills every reachable node
   no gradient reached.  Tests require the same loss and gradients, bit
   for bit.
+- The convolution as the three-node chain `conv1d_valid → relu →
+  max_over_time`, and `gather` scattering every gradient row by row
+  through `np.add.at` (inside `three_node_conv()`): the paths that the
+  fused `tensor.conv_relu_max` and `gather`'s slice-add and flat
+  scatters replaced.  Tests require the same loss, gradients and
+  probabilities, bit for bit.
+- `unk_replace` drawing one `Rng.random()` per token, which one
+  `fill_uniform` draw per instance replaced.  Tests require the same
+  tokens and the same generator state afterwards.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from cdrex import corpus, encoders
 from cdrex import tensor as T
 from cdrex.corpus import CHEMICAL, DISEASE, Document, Mention, RelationInstance, Token
 from cdrex.encoders import CharEncoderParams, EmbeddingTable, LstmParams, _char_ids
+from cdrex.rng import Rng
 from cdrex.tensor import ShapeError, Tensor
 
 
@@ -212,12 +222,7 @@ def nll_loss(p: Tensor, gold: int) -> Tensor:
 
 
 @contextlib.contextmanager
-def old_gradient_rules():
-    """Inside the block gradients are stored by the rules above, in place
-    of `grad_buffer()`'s in-place additions."""
-    rules = [(Tensor, "accumulate_grad", _accumulate_grad), (Tensor, "backward", _backward),
-             (T, "slice_last", slice_last), (T, "max_over_time", max_over_time),
-             (T, "nll_loss", nll_loss)]
+def _replaced(rules):
     saved = [(owner, name, getattr(owner, name)) for owner, name, _ in rules]
     for owner, name, rule in rules:
         setattr(owner, name, rule)
@@ -226,3 +231,44 @@ def old_gradient_rules():
     finally:
         for owner, name, current in saved:
             setattr(owner, name, current)
+
+
+def old_gradient_rules():
+    """Inside the block gradients are stored by the rules above, in place
+    of `grad_buffer()`'s in-place additions."""
+    return _replaced([(Tensor, "accumulate_grad", _accumulate_grad), (Tensor, "backward", _backward),
+                      (T, "slice_last", slice_last), (T, "max_over_time", max_over_time),
+                      (T, "nll_loss", nll_loss)])
+
+
+def conv_relu_max(input: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
+    return T.max_over_time(T.relu(T.conv1d_valid(input, filters, bias)))
+
+
+def gather(table: Tensor, indices) -> Tensor:
+    idx = np.asarray(indices, dtype=np.intp)
+    if table.data.ndim != 2 or idx.ndim != 1:
+        raise ShapeError("gather: needs a 2-D table and 1-D indices")
+    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+        raise ShapeError("gather: index out of range")
+    def backward(g):
+        if table.requires_grad:
+            np.add.at(table.grad_buffer(), idx, g)
+    return T._result(table.data[idx], (table,), backward, "gather")
+
+
+def three_node_conv():
+    """Inside the block the model and the character CNN run the chain
+    `conv1d_valid → relu → max_over_time`, and every gather scatters
+    through `np.add.at`."""
+    return _replaced([(T, "conv_relu_max", conv_relu_max), (T, "gather", gather)])
+
+
+def unk_replace(tokens: list[str], counts: dict[str, int], rng: Rng) -> list[str]:
+    """`encoders.unk_replace` with one `rng.random()` draw per token."""
+    out = []
+    for tok in tokens:
+        n_w = counts.get(tok.lower(), 0)
+        p = 0.25 / (0.25 + n_w)
+        out.append(encoders.UNK_WORD if rng.random() < p else tok)
+    return out

@@ -1,0 +1,159 @@
+"""The fused `tensor.conv_relu_max` against the chain it replaced.
+
+The model and the character CNN run conv → ReLU → max-over-time as one
+node whose filter and bias gradients come from each column's argmax row
+only.  Its value and all three gradients, and the model's loss, every
+parameter gradient and every probability vector, must equal those of the
+three-node chain `conv1d_valid → relu → max_over_time` (kept in
+`oracle.three_node_conv()`), bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+import oracle
+from cdrex import model as M
+from cdrex import tensor as T
+from cdrex.rng import Rng
+from cdrex.tensor import ShapeError, Tensor
+from test_grad_buffer import batch, variant_model
+
+
+def op_and_grads(op, inp, filt, bias, mix, touches=1):
+    """The op's value and the bytes of the three gradients after
+    `touches` backward passes of sum(op(...) * mix) into the same buffers."""
+    for t in (inp, filt, bias):
+        t.grad = None
+    for _ in range(touches):
+        out = op(inp, filt, bias)
+        T.sum_all(T.mul(out, mix)).backward()
+    return [out.data.tobytes()] + [t.grad_buffer().tobytes() for t in (inp, filt, bias)]
+
+
+def assert_matches_chain(inp, filt, bias, mix, touches=1):
+    args = [Tensor(a, requires_grad=True) for a in (inp, filt, bias)]
+    fused = op_and_grads(T.conv_relu_max, *args, Tensor(mix), touches)
+    chain = op_and_grads(oracle.conv_relu_max, *args, Tensor(mix), touches)
+    for name, a, b in zip(("value", "input", "filters", "bias"), fused, chain):
+        assert a == b, name
+
+
+def random_case(seed, n, d, m, k):
+    rng = Rng(seed)
+    return (rng.fill_uniform((n, d), -1, 1), rng.fill_uniform((m, k, d), -1, 1),
+            rng.fill_uniform((m,), -1, 1), rng.fill_uniform((m,), -2, 2))
+
+
+@pytest.mark.parametrize("touches", [1, 2], ids=["first", "second"])
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n,d,m,k", [(12, 5, 7, 3), (6, 3, 4, 6), (9, 4, 5, 1), (1, 3, 4, 1),
+                                     (40, 11, 16, 5)], ids=["mid", "L1", "k1", "n1", "wide"])
+def test_random_maps(n, d, m, k, seed, touches):
+    assert_matches_chain(*random_case(seed, n, d, m, k), touches=touches)
+
+
+def test_tied_column_maxima():
+    # Repeated input rows give repeated feature-map rows: every column's
+    # maximum is tied, and the first occurrence takes the gradient.
+    inp, filt, bias, mix = random_case(1, 4, 3, 5, 2)
+    inp = np.concatenate([inp, inp, inp])
+    assert_matches_chain(inp, filt, bias, mix)
+    out = T.conv_relu_max(Tensor(inp), Tensor(filt), Tensor(bias))
+    chain = T.relu(T.conv1d_valid(Tensor(inp), Tensor(filt), Tensor(bias))).data
+    assert (np.sum(chain == out.data, axis=0) > 1).any()
+
+
+def test_columns_at_or_below_zero_pass_no_gradient():
+    inp, filt, bias, mix = random_case(2, 8, 3, 6, 3)
+    bias[:3] = -50.0  # every pre-activation of columns 0-2 is negative
+    filt[3] = 0.0
+    bias[3] = 0.0     # column 3 is exactly 0 everywhere
+    assert_matches_chain(inp, filt, bias, mix)
+    args = [Tensor(a, requires_grad=True) for a in (inp, filt, bias)]
+    out = T.conv_relu_max(*args)
+    T.sum_all(T.mul(out, Tensor(mix))).backward()
+    assert not out.data[:4].any()
+    assert not args[1].grad[:4].any() and not args[2].grad[:4].any()
+    assert (args[2].grad[4:] == mix[4:]).all()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gradient_with_dropout_zeros(seed):
+    inp, filt, bias, mix = random_case(seed, 10, 4, 9, 3)
+    mix[::2] = 0.0
+    mix[1] = -0.0
+    assert_matches_chain(inp, filt, bias, mix)
+    assert_matches_chain(inp, filt, bias, mix, touches=2)
+
+
+def test_no_grad_value_matches_graph_value():
+    inp, filt, bias, _ = random_case(3, 9, 4, 5, 2)
+    args = [Tensor(a, requires_grad=True) for a in (inp, filt, bias)]
+    with T.no_grad():
+        free = T.conv_relu_max(*args)
+    assert free._backward_fn is None
+    assert free.data.tobytes() == T.conv_relu_max(*args).data.tobytes()
+
+
+BAD_SHAPES = {
+    "input_rank": ((3,), (1, 1, 3), (1,)),
+    "filter_rank": ((3, 2), (1, 2), (1,)),
+    "bias_rank": ((3, 2), (1, 1, 2), (1, 1)),
+    "width": ((1, 2), (1, 1, 3), (1,)),
+    "bias_length": ((4, 2), (3, 2, 2), (2,)),
+    "window_longer_than_input": ((2, 1), (1, 3, 1), (1,)),
+    "empty_window": ((2, 1), (1, 0, 1), (1,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+def test_same_shape_errors_as_conv1d_valid(case):
+    args = [Tensor(np.zeros(shape)) for shape in BAD_SHAPES[case]]
+    with pytest.raises(ShapeError) as chain:
+        T.conv1d_valid(*args)
+    with pytest.raises(ShapeError) as fused:
+        T.conv_relu_max(*args)
+    assert str(fused.value) == str(chain.value).replace("conv1d_valid", "conv_relu_max")
+
+
+# ---------------------------------------------------------------------------
+# The model through the fused op and through the chain
+
+
+def loss_grads_and_probabilities(params):
+    named = params.named_tensors()
+    for _, t in named:
+        t.grad = None
+    total = M.loss(batch(), params, Rng(9))  # rho = 0.5: the same dropout masks each run
+    total.backward()
+    cache = {}
+    probs = ([M.forward(inst, params, Rng(1)).probabilities.tobytes() for inst in batch()]
+             + [M.forward(inst, params, Rng(1), char_cache=cache).probabilities.tobytes()
+                for inst in batch()])
+    return total.data.tobytes(), {name: t.grad_buffer().tobytes() for name, t in named}, probs
+
+
+@pytest.mark.parametrize("unit_scale", [False, True], ids=["init", "unit"])
+@pytest.mark.parametrize("l2", [0.0, 0.001])
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_model_matches_the_chain(variant, l2, unit_scale):
+    params = variant_model(variant, l2, unit_scale)
+    assert params.hyper.rho > 0.0
+    fused = loss_grads_and_probabilities(params)
+    with oracle.three_node_conv():
+        chain = loss_grads_and_probabilities(params)
+    assert fused[0] == chain[0]
+    assert fused[1].keys() == chain[1].keys()
+    for name in fused[1]:
+        assert fused[1][name] == chain[1][name], name
+    assert fused[2] == chain[2]
+
+
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_one_conv_node_per_encoding(variant):
+    params = variant_model(variant, 0.001, unit_scale=False)
+    nodes = T.graph_nodes(M.loss(batch()[:1], params, Rng(9)))
+    ops = [node.op for node in nodes]
+    assert not {"conv1d_valid", "relu", "max_over_time"} & set(ops)
+    forms = len(set(batch()[0].tokens + ["PAD"]))
+    assert ops.count("conv_relu_max") == 1 + (forms if variant == "cnn+cnnchar" else 0)

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import oracle
 from cdrex import tensor as T
 from cdrex.encoders import (
     CHAR_OUT_DIM,
@@ -259,6 +260,19 @@ class TestUnkReplace:
         out = unk_replace(["word"] * 100_000, {"word": 3}, rng)
         rate = sum(tok == UNK_WORD for tok in out) / len(out)
         assert abs(rate - 0.25 / 3.25) < 0.01
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_matches_one_draw_per_token(self, seed):
+        counts = {"aspirin": 1, "mice": 3, "a": 1000, "headache": 0}
+        words = ["Aspirin", "mice", "a", "headache", "Zoë", "PAD", "UNK", "a"]
+        draw = Rng(seed)
+        for size in (0, 1, 1, 2, 7, 40, 250):
+            tokens = [words[draw.randbelow(len(words))] for _ in range(size)]
+            rng, scalar_rng = Rng(seed * 7), Rng(seed * 7)
+            for _ in range(3):  # consecutive instances share one stream
+                assert unk_replace(tokens, counts, rng) == oracle.unk_replace(
+                    tokens, counts, scalar_rng)
+                assert rng.next_u64() == scalar_rng.next_u64()
 
     def test_originals_never_mutated(self):
         tokens = ["Tamoxifen", "induces", "cancer"]

@@ -2,7 +2,8 @@
 array, zero-filled, and backward rules add into it in place.
 
 The rules it replaced live on in `oracle.old_gradient_rules()`; the loss
-and every parameter gradient must keep their bits under both.  The
+and every parameter gradient must keep their bits under both (under the
+old rules the model runs the three-node conv chain they covered).  The
 equality rests on one invariant, also tested here: no gradient buffer
 ever holds -0.0, so adding a few values in place gives the bits of adding
 a dense array that is +0.0 everywhere else.
@@ -65,7 +66,7 @@ CASES = {"init": (0.001, False), "unit": (0.001, True), "unit_no_l2": (0.0, True
 def test_old_rules_give_the_same_bits(variant, case):
     params = variant_model(variant, *CASES[case])
     new = loss_and_grads(params)
-    with oracle.old_gradient_rules():
+    with oracle.old_gradient_rules(), oracle.three_node_conv():
         old = loss_and_grads(params)
     assert new[0] == old[0]
     assert new[1].keys() == old[1].keys()
@@ -83,7 +84,7 @@ def test_clamped_loss_old_rules_give_the_same_bits(variant, l2):
     params.b1.data[:] = [1e3, -1e3]  # p = (1, 0)
     clamped = [replace(inst, label=1) for inst in batch()]
     new = loss_and_grads(params, clamped)
-    with oracle.old_gradient_rules():
+    with oracle.old_gradient_rules(), oracle.three_node_conv():
         old = loss_and_grads(params, clamped)
     assert new == old
 
@@ -152,6 +153,34 @@ def test_max_over_time_scatter(first):
     dense = np.zeros_like(fm.data)
     dense[fm.data.argmax(axis=0), np.arange(9)] = g
     assert_scatter(fm, out, g, dense, first)
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+@pytest.mark.parametrize("rows", [[2, 3, 4, 5], [6], [0, 1, 2, 3, 4, 5, 6]])
+def test_gather_run_scatter(first, rows):
+    # A run of consecutive rows scatters as one slice add.
+    table = Tensor(np.zeros((7, 9)), requires_grad=True)
+    out = T.gather(table, rows)
+    g = np.resize(SPECIAL, out.shape)
+    dense = np.zeros_like(table.data)
+    dense[rows] = g
+    assert_scatter(table, out, g, dense, first)
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+@pytest.mark.parametrize("rows", [[0, 0, 0], [4, 1, 4, 6, 1, 4], [3, 2, 1], [2, 4, 6]])
+def test_gather_scatter_matches_row_wise_add_at(first, rows):
+    # Repeated or unordered rows: the flat scatter adds each entry's
+    # values in index order, as a row-wise np.add.at does.
+    table = Tensor(np.zeros((7, 9)), requires_grad=True)
+    g = np.resize(SPECIAL[::-1], (len(rows), 9)) * np.arange(1, len(rows) + 1)[:, None]
+    if not first:
+        table.grad = Rng(5).fill_uniform(table.shape, -1.0, 1.0)
+    expected = np.zeros_like(table.data) if first else table.grad.copy()
+    with np.errstate(all="ignore"):
+        np.add.at(expected, rows, g)
+        T.gather(table, rows)._backward_fn(g)
+    assert table.grad.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])

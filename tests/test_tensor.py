@@ -375,6 +375,17 @@ class TestGradCheck:
         err = grad_check(f, [inp, filt, bias, w, b], eps=1e-4)
         assert err < 1e-4
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_conv_relu_max(self, seed):
+        rng = Rng(seed)
+        inp = t(rng.fill_uniform((6, 3), -1, 1), requires_grad=True)
+        filt = t(rng.fill_uniform((4, 2, 3), -1, 1), requires_grad=True)
+        bias = t(rng.fill_uniform((4,), -1, 1), requires_grad=True)
+        mix = t(rng.fill_uniform((4,), -1, 1))
+        err = grad_check(lambda: sum_all(mul(T.conv_relu_max(inp, filt, bias), mix)),
+                         [inp, filt, bias], eps=1e-4)
+        assert err < 1e-4
+
     def test_lstm_style_ops(self):
         rng = Rng(3)
         xs = t(rng.fill_uniform((3, 2), -1, 1), requires_grad=True)
