@@ -7,6 +7,9 @@ Each token i of a relation mention is encoded as the concatenation
 where the two position components are indexed by the signed distances to
 the entity tokens, and the character component comes from either a small
 convolutional encoder or a bidirectional LSTM over the token's characters.
+`encode_chars` is the one character-encoding entry point for both: it
+encodes a tuple of distinct forms, an instance's in training and a whole
+split's at inference.
 
 Word-embedding lookup is lowercased; character input keeps its case, so
 capitalization signal survives in the character features.  Padding rows
@@ -209,28 +212,25 @@ def char_cnn_encode(word: str, chartable: EmbeddingTable, params: CharEncoderPar
     return T.conv_relu_max(mat, params.filters, params.bias)
 
 
-def char_bilstm_encode_forms(words: list[str], chartable: EmbeddingTable,
-                             params: CharEncoderParams) -> Tensor:
-    """(W, 2u) encodings of W words: row w is the final state of a forward
-    LSTM over word w's characters, concatenated with the final state of a
-    reverse LSTM.  Each direction runs over all the words as one op."""
-    ids = [_char_ids(word, chartable) for word in words]
-    mat = T.gather(chartable.weights, [i for word_ids in ids for i in word_ids])
-    lengths = [len(word_ids) for word_ids in ids]
-    return T.concat([T.lstm_final_states(mat, lengths, p.wx, p.wh, p.b, reverse)
-                     for p, reverse in ((params.fwd, False), (params.bwd, True))])
-
-
 def char_bilstm_encode(word: str, chartable: EmbeddingTable, params: CharEncoderParams) -> Tensor:
-    """The (2u,) encoding of one word; see `char_bilstm_encode_forms`."""
-    return T.row(char_bilstm_encode_forms([word], chartable, params), 0)
+    """The (2u,) encoding of one word; see `encode_chars`."""
+    return T.row(encode_chars((word,), chartable, params), 0)
 
 
-def encode_chars(word: str, chartable: EmbeddingTable, params: CharEncoderParams) -> Tensor:
+def encode_chars(forms: tuple[str, ...], chartable: EmbeddingTable,
+                 params: CharEncoderParams) -> Tensor:
+    """(F, d3) encodings, row f for forms[f]: the char-CNN's per form,
+    stacked, or the BiLSTM's final forward and reverse states, each
+    direction one op over all the forms in lockstep.  A row's bits do not
+    depend on the other forms."""
     if params.variant == "cnn":
-        return char_cnn_encode(word, chartable, params)
+        return T.stack_rows([char_cnn_encode(word, chartable, params) for word in forms])
     if params.variant == "bilstm":
-        return char_bilstm_encode(word, chartable, params)
+        ids = [_char_ids(word, chartable) for word in forms]
+        mat = T.gather(chartable.weights, [i for word_ids in ids for i in word_ids])
+        lengths = [len(word_ids) for word_ids in ids]
+        return T.concat([T.lstm_final_states(mat, lengths, p.wx, p.wh, p.b, reverse)
+                         for p, reverse in ((params.fwd, False), (params.bwd, True))])
     raise ValueError(f"unknown character encoder variant {params.variant!r}")
 
 
@@ -238,10 +238,22 @@ def encode_chars(word: str, chartable: EmbeddingTable, params: CharEncoderParams
 # Input matrix construction
 
 
+def _padded(tokens, n: int) -> list[str]:
+    return list(tokens) + [PAD_WORD] * (n - len(tokens))
+
+
+def char_rows(instances, tables: EmbeddingSet,
+              params: CharEncoderParams) -> tuple[Tensor, dict[str, int]]:
+    """One `encode_chars` call over the distinct forms of the instances
+    padded to n rows, in order of first use, and each form's row."""
+    forms = tuple(dict.fromkeys(tok for inst in instances for tok in _padded(inst.tokens, tables.n)))
+    return encode_chars(forms, tables.char, params), {tok: j for j, tok in enumerate(forms)}
+
+
 def build_input_matrix(instance, tables: EmbeddingSet,
                        char_params: CharEncoderParams | None = None,
                        word_tokens: list[str] | None = None,
-                       char_cache: dict[str, Tensor] | None = None) -> Tensor:
+                       chars: tuple[Tensor, dict[str, int]] | None = None) -> Tensor:
     """The n x d model input for one relation instance.
 
     Rows beyond the real tokens use the PAD word token (its characters are
@@ -250,13 +262,9 @@ def build_input_matrix(instance, tables: EmbeddingSet,
     path only (UNK replacement); the character encoder always sees the
     original tokens.
 
-    `char_cache` maps surface forms to their character encodings, and only
-    forms missing from it are encoded.  Without one each distinct form of
-    the instance is encoded once, and its gradient flows through the shared
-    subgraph into every row that reuses it; the BiLSTM encodes all of them
-    with one `lstm_final_states` node per direction.  A dict shared across
-    instances must not outlive the parameter values it was computed with
-    (one inference pass).
+    `chars` (from `char_rows`, valid while the parameters are unchanged)
+    are encodings shared by many instances; without it the instance's own
+    distinct forms are encoded, each once, for all the rows that use it.
     """
     n = tables.n
     real = list(instance.tokens)
@@ -269,31 +277,14 @@ def build_input_matrix(instance, tables: EmbeddingSet,
     if len(lookup) != len(real):
         raise ValueError("word-lookup tokens must align with the instance tokens")
 
-    padded = real + [PAD_WORD] * (n - len(real))
-    lookup = lookup + [PAD_WORD] * (n - len(lookup))
-
-    word_part = T.gather(tables.word.weights, [_word_row(tok, tables.word) for tok in lookup])
-
-    pos1_ids = [tables.pos1.index[i - i1] for i in range(n)]
-    pos2_ids = [tables.pos2.index[i - i2] for i in range(n)]
-    pos1_part = T.gather(tables.pos1.weights, pos1_ids)
-    pos2_part = T.gather(tables.pos2.weights, pos2_ids)
-
-    parts = [word_part, pos1_part, pos2_part]
+    parts = [T.gather(tables.word.weights, [_word_row(tok, tables.word) for tok in _padded(lookup, n)]),
+             T.gather(tables.pos1.weights, [tables.pos1.index[i - i1] for i in range(n)]),
+             T.gather(tables.pos2.weights, [tables.pos2.index[i - i2] for i in range(n)])]
     if char_params is not None:
         if tables.char is None:
             raise ValueError("character encoder given but no character table")
-        forms = list(dict.fromkeys(padded))  # distinct, in order of first use
-        if char_cache is None and char_params.variant == "bilstm":
-            encoded = char_bilstm_encode_forms(forms, tables.char, char_params)
-        else:
-            cache = {} if char_cache is None else char_cache
-            for tok in forms:
-                if tok not in cache:
-                    cache[tok] = encode_chars(tok, tables.char, char_params)
-            encoded = T.stack_rows([cache[tok] for tok in forms])
-        slot = {tok: j for j, tok in enumerate(forms)}
-        parts.append(T.gather(encoded, [slot[tok] for tok in padded]))
+        encoded, slot = chars or char_rows([instance], tables, char_params)
+        parts.append(T.gather(encoded, [slot[tok] for tok in _padded(real, n)]))
 
     out = T.concat(parts)
     expected = tables.word.dim + tables.pos1.dim + tables.pos2.dim + (

@@ -2,7 +2,7 @@
 max-over-time pooling, dropout, and a fully connected softmax output.
 
 Three variants share the pipeline and differ only in the character
-component of the input rows:
+component of the input rows, from `encoders.encode_chars`:
 
     cnn           word + positions only
     cnn+cnnchar   adds the convolutional character encoder
@@ -168,23 +168,32 @@ def init_model(vocab, variant: str, rng: Rng, *, m: int = 100, rho: float = 0.5,
 
 def class_probabilities(instance, params: ModelParams, rng: Rng, training: bool,
                         word_tokens: list[str] | None = None,
-                        char_cache: dict[str, Tensor] | None = None) -> Tensor:
+                        chars: tuple[Tensor, dict[str, int]] | None = None) -> Tensor:
     """Probability vector over CLASS_ORDER, with the graph attached unless
     run under `tensor.no_grad`."""
     mat = encoders.build_input_matrix(instance, params.tables, params.char_params,
-                                      word_tokens=word_tokens, char_cache=char_cache)
+                                      word_tokens=word_tokens, chars=chars)
     z = T.conv_relu_max(mat, params.conv_filters, params.conv_bias)
     z = T.dropout(z, params.hyper.rho, rng, training)
     return T.softmax(T.add(T.matmul(params.w1, z), params.b1))
 
 
-def forward(instance, params: ModelParams, rng: Rng, training: bool = False,
-            char_cache: dict[str, Tensor] | None = None) -> Prediction:
-    """Class probabilities and label for one instance, computed without a
-    graph.  Pass one `char_cache` dict across calls that share parameter
-    values to encode each surface form's characters once."""
+def inference_chars(instances, params: ModelParams) -> tuple[Tensor, dict[str, int]] | None:
+    """`chars` for `forward`: all the instances' forms encoded at once,
+    without a graph; None when there is nothing to encode."""
+    if params.char_params is None or not instances:
+        return None
     with T.no_grad():
-        p = class_probabilities(instance, params, rng, training, char_cache=char_cache)
+        return encoders.char_rows(instances, params.tables, params.char_params)
+
+
+def forward(instance, params: ModelParams, rng: Rng, training: bool = False,
+            chars: tuple[Tensor, dict[str, int]] | None = None) -> Prediction:
+    """Class probabilities and label for one instance, computed without a
+    graph.  `chars` from `inference_chars` shares one character encoding
+    of each form across the calls that use the same parameter values."""
+    with T.no_grad():
+        p = class_probabilities(instance, params, rng, training, chars=chars)
     return Prediction(uid=getattr(instance, "uid", ""),
                       probabilities=p.data.copy(),
                       label=int(np.argmax(p.data)))

@@ -8,10 +8,10 @@ rates (no momentum schedule):
     step  = lr * (b1*m_hat + (1-b1)*g/(1-b1^t)) / (sqrt(v_hat) + eps)
 
 Training shuffles instances, resamples fresh UNK masks every epoch,
-evaluates document-level dev F1 after each epoch, and keeps the
-parameters of the best epoch (earlier epoch on ties).  All randomness
-derives from the single config seed, so identical configs reproduce
-bitwise-identical models.
+evaluates document-level dev F1 after each epoch (characters of the
+split's distinct words encoded in one call), and keeps the parameters of
+the best epoch (earlier epoch on ties).  All randomness derives from the
+single config seed, so identical configs reproduce bitwise-identical models.
 """
 
 from __future__ import annotations
@@ -183,17 +183,15 @@ def predict_pairs(split: DataSplit, params: ModelParams,
     classification plus the training co-occurrence rule.  An instance
     that `fit_instances` drops predicts no pair, as one labelled 0."""
     rng = Rng(0)  # inference is deterministic; the stream is never used
-    # Parameters are fixed for this call only, so the character encodings
-    # are shared across the split and dropped on return.
-    char_cache: dict = {}
+    fitted = fit_instances(split.instances, params.hyper.n)
+    chars = model.inference_chars(fitted, params)  # valid for this call's parameters only
     by_doc: dict[str, list[RelationInstance]] = {}
-    for inst in fit_instances(split.instances, params.hyper.n):
+    for inst in fitted:
         by_doc.setdefault(inst.pmid, []).append(inst)
     predicted = {}
     for doc in split.documents:
         instances = by_doc.get(doc.pmid, [])
-        labels = {inst.uid: model.forward(inst, params, rng, training=False,
-                                          char_cache=char_cache).label
+        labels = {inst.uid: model.forward(inst, params, rng, training=False, chars=chars).label
                   for inst in instances}
         predicted[doc.pmid] = evaluation.aggregate_document(doc, instances, labels,
                                                             train_relations)

@@ -67,29 +67,24 @@ def char_bilstm_encode(word: str, chartable: EmbeddingTable, params: CharEncoder
     return T.concat([h_fwd, h_bwd])
 
 
-def encode_chars(word: str, chartable: EmbeddingTable, params: CharEncoderParams) -> Tensor:
-    if params.variant == "bilstm":
-        return char_bilstm_encode(word, chartable, params)
-    return encoders.char_cnn_encode(word, chartable, params)
+def encode_chars(forms: tuple[str, ...], chartable: EmbeddingTable,
+                 params: CharEncoderParams) -> Tensor:
+    encode = char_bilstm_encode if params.variant == "bilstm" else encoders.char_cnn_encode
+    return T.stack_rows([encode(word, chartable, params) for word in forms])
 
 
 @contextlib.contextmanager
 def per_word_graph():
     """Inside the block every character encoding, in training and at
-    inference, goes through the per-word graph above: an instance without
-    a shared cache gets a fresh dict, so each of its distinct forms is
-    encoded once, in order of first use."""
-    build, encode = encoders.build_input_matrix, encoders.encode_chars
-
-    def build_per_word(instance, tables, char_params=None, word_tokens=None, char_cache=None):
-        return build(instance, tables, char_params, word_tokens=word_tokens,
-                     char_cache={} if char_cache is None else char_cache)
-
-    encoders.build_input_matrix, encoders.encode_chars = build_per_word, encode_chars
+    inference, goes through the per-word graph above: each form of an
+    `encoders.encode_chars` call is encoded on its own, and the rows are
+    stacked in order."""
+    real = encoders.encode_chars
+    encoders.encode_chars = encode_chars
     try:
         yield
     finally:
-        encoders.build_input_matrix, encoders.encode_chars = build, encode
+        encoders.encode_chars = real
 
 
 def _last_token_index(tokens: list[Token], mention: Mention) -> int | None:

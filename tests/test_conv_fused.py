@@ -126,9 +126,9 @@ def loss_grads_and_probabilities(params):
         t.grad = None
     total = M.loss(batch(), params, Rng(9))  # rho = 0.5: the same dropout masks each run
     total.backward()
-    cache = {}
+    chars = M.inference_chars(batch(), params)
     probs = ([M.forward(inst, params, Rng(1)).probabilities.tobytes() for inst in batch()]
-             + [M.forward(inst, params, Rng(1), char_cache=cache).probabilities.tobytes()
+             + [M.forward(inst, params, Rng(1), chars=chars).probabilities.tobytes()
                 for inst in batch()])
     return total.data.tobytes(), {name: t.grad_buffer().tobytes() for name, t in named}, probs
 

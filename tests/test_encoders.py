@@ -1,3 +1,4 @@
+import contextlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +21,7 @@ from cdrex.encoders import (
     char_cnn_encode,
     char_cnn_params,
     char_table,
+    encode_chars,
     load_word_vectors,
     position_table,
     unk_replace,
@@ -154,6 +156,38 @@ def test_char_encoders_emit_d3_for_lengths_1_to_40(chartab, make_params):
         out = (char_cnn_encode if params.variant == "cnn" else char_bilstm_encode)(
             "x" * length, chartab, params)
         assert out.shape == (CHAR_OUT_DIM,)
+
+
+def split_forms(count: int, seed: int) -> tuple[str, ...]:
+    """Distinct forms as a split has them: 1-char and 15+-char words, PAD,
+    characters the table lacks, and random words of 1 to 25 characters."""
+    rng = Rng(seed)
+    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ-0ë"
+    words = ["".join(letters[rng.randbelow(len(letters))] for _ in range(1 + rng.randbelow(25)))
+             for _ in range(count)]
+    return tuple(dict.fromkeys(["a", "I", "hydroxychloroquine", "supercalifragilistic",
+                                PAD_WORD, "Zoë", "β-blocker", "5-FU"] + words))
+
+
+@pytest.mark.parametrize("no_grad", [False, True], ids=["graph", "no_grad"])
+@pytest.mark.parametrize("unit_scale", [False, True], ids=["init", "unit"])
+@pytest.mark.parametrize("make_params", [char_cnn_params, char_bilstm_params])
+def test_one_call_over_a_split_equals_one_form_calls(chartab, make_params, unit_scale, no_grad):
+    """Inference encodes a split's forms in one call and training one
+    instance's: a form's row must not depend on which other forms share
+    the call."""
+    params = make_params(Rng(5))
+    if unit_scale:
+        fill = Rng(6)
+        for t in [chartab.weights] + [t for _, t in params.all_tensors()]:
+            t.data[:] = fill.fill_uniform(t.shape, -1.0, 1.0)
+    forms = split_forms(60, seed=7)
+    with T.no_grad() if no_grad else contextlib.nullcontext():
+        together = encode_chars(forms, chartab, params)
+        assert together.shape == (len(forms), CHAR_OUT_DIM)
+        for j, form in enumerate(forms):
+            alone = encode_chars((form,), chartab, params)
+            assert together.data[j].tobytes() == alone.data[0].tobytes(), form
 
 
 def small_tables(n=5, with_char=True, seed=9):

@@ -1,10 +1,10 @@
 """The fused character BiLSTM against the per-word graph of `oracle.py`.
 
 Training encodes an instance's distinct forms with one
-`tensor.lstm_final_states` node per direction, and inference encodes one
-word at a time through the same op.  Both must give the loss, every
-parameter gradient and every probability vector of the per-step graph,
-bit for bit.
+`tensor.lstm_final_states` node per direction, and inference encodes all
+of a split's forms through the same op at once.  Both must give the loss,
+every parameter gradient and every probability vector of the per-step
+graph, bit for bit.
 """
 
 import warnings
@@ -59,10 +59,10 @@ def loss_and_grads(batch, params):
 
 def probabilities(batch, params):
     """Per-instance encodings (the training layout, under no_grad) and
-    encodings through one shared cache (the inference layout)."""
-    cache = {}
+    the batch's forms encoded in one call (the inference layout)."""
+    chars = M.inference_chars(batch, params)
     return ([M.forward(inst, params, Rng(1)).probabilities.tobytes() for inst in batch]
-            + [M.forward(inst, params, Rng(1), char_cache=cache).probabilities.tobytes()
+            + [M.forward(inst, params, Rng(1), chars=chars).probabilities.tobytes()
                for inst in batch])
 
 
@@ -115,7 +115,7 @@ def test_single_instance_has_one_node_per_direction():
 
 @pytest.mark.parametrize("word", ["a", "abab", "Zoë", "supercalifragilistic"])
 def test_one_word_matches_per_word_graph(word):
-    """W = 1, as inference encodes each form: value and gradients."""
+    """W = 1, as `char_bilstm_encode` runs it: value and gradients."""
     params = lstm_model(4, unit_scale=True)
     chartab, char_params = params.tables.char, params.char_params
     weights = Tensor(Rng(6).fill_uniform((2 * encoders.LSTM_UNITS,), -1.0, 1.0))

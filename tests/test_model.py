@@ -105,14 +105,16 @@ class TestGraphFreeForward:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_shared_cache_matches_the_graph_oracle(self, variant):
+        """Every instance reads its rows from one shared encoding of all
+        the instances' forms, as at inference."""
         params = unit_scale(tiny_model(variant=variant))
         instances = [make_instance(),
                      make_instance(tokens=("mice", "tumors", "aspirin"), i1=2, i2=1, uid="doc1#1"),
                      make_instance(tokens=("headache", "Aspirin"), i1=1, i2=0, uid="doc1#2"),
                      make_instance(uid="doc1#3")]
-        cache = {}
+        chars = M.inference_chars(instances, params)
         for inst in instances:
-            pred = forward(inst, params, Rng(1), char_cache=cache)
+            pred = forward(inst, params, Rng(1), chars=chars)
             # The reference encodes each instance's forms afresh, with the
             # graph, characters through the per-word, per-step graph.
             with oracle.per_word_graph():
@@ -121,10 +123,13 @@ class TestGraphFreeForward:
             assert np.array_equal(pred.probabilities, reference.data)
             assert pred.label == int(np.argmax(reference.data))
         if variant == "cnn":
-            assert cache == {}
+            assert chars is None
         else:
-            assert set(cache) == {"aspirin", "causes", "headache", "mice", "tumors", "Aspirin",
-                                  "PAD"}
+            encoded, slot = chars
+            assert list(slot) == ["aspirin", "causes", "headache", "PAD", "mice", "tumors",
+                                  "Aspirin"]
+            assert encoded.shape == (7, params.char_params.out_dim)
+            assert encoded._parents == () and not encoded.requires_grad
 
 
 class TestLoss:

@@ -512,6 +512,19 @@ def inference_model(variant: str, split: DataSplit) -> M.ModelParams:
     return params
 
 
+def spy_encode_chars(monkeypatch) -> list[tuple[str, ...]]:
+    """The forms of every `encoders.encode_chars` call from here on."""
+    encoded = []
+    real = encoders.encode_chars
+
+    def encode_chars(forms, *args):
+        encoded.append(forms)
+        return real(forms, *args)
+
+    monkeypatch.setattr(encoders, "encode_chars", encode_chars)
+    return encoded
+
+
 class TestGraphFreeInference:
     @pytest.mark.parametrize("variant", M.VARIANTS)
     def test_predict_pairs_matches_graph_oracle(self, variant, monkeypatch):
@@ -549,24 +562,30 @@ class TestGraphFreeInference:
     def test_each_form_encoded_once_per_call(self, variant, monkeypatch):
         split = synthetic_split(8)
         params = inference_model(variant, split)
-        encoded = []
-        real_encode = encoders.encode_chars
-
-        def encode_chars(word, *args):
-            encoded.append(word)
-            return real_encode(word, *args)
-
-        monkeypatch.setattr(encoders, "encode_chars", encode_chars)
+        encoded = spy_encode_chars(monkeypatch)
         n = params.hyper.n
         forms = set()
         for inst in split.instances:
             tokens = fit_instance(inst, n).tokens
             forms |= set(tokens + [encoders.PAD_WORD] * (n - len(tokens)))
         predict_pairs(split, params, set())
-        assert sorted(encoded) == sorted(forms)
+        assert len(encoded) == 1  # one call for the whole split
+        assert sorted(encoded[0]) == sorted(forms)
         # Nothing is kept between calls: parameters may change in between.
         predict_pairs(split, params, set())
-        assert sorted(encoded) == sorted(2 * list(forms))
+        assert encoded == 2 * encoded[:1]
+
+    @pytest.mark.parametrize("variant", ["cnn+cnnchar", "cnn+lstmchar"])
+    def test_split_with_no_instance_that_fits(self, variant, monkeypatch, caplog):
+        params = inference_model(variant, synthetic_split(8))
+        wide, uid = split_with_wide_pair(0, start=30)
+        assert params.hyper.n < 10
+        encoded = spy_encode_chars(monkeypatch)
+        with caplog.at_level(logging.WARNING):
+            pairs = predict_pairs(wide, params, set())
+        assert pairs == {wide.documents[0].pmid: set()}
+        assert encoded == []
+        assert len(skip_warnings(caplog, uid)) == 1
 
     @pytest.mark.parametrize("variant", M.VARIANTS)
     def test_loss_gradients_unchanged_by_inference(self, variant):
