@@ -100,27 +100,43 @@ def position_table(name: str, n: int, rng: Rng, dim: int = POS_DIM) -> Embedding
     return EmbeddingTable(name, dim, Tensor(data, requires_grad=True), index)
 
 
+class WordRows(dict):
+    """Word-table row of each form, looked up on the form's first use:
+    reserved tokens hit their own rows directly; everything else is
+    lowercased first, falling back to UNK.  The workers of
+    `optim.predict_pairs` fill it concurrently; two that miss the same
+    form store the same row."""
+
+    def __init__(self, index: dict):
+        super().__init__()
+        self.index = index
+
+    def __missing__(self, token: str) -> int:
+        if token in (PAD_WORD, UNK_WORD):
+            row = self.index[token]
+        else:
+            row = self.index.get(token.lower(), self.index[UNK_WORD])
+        self[token] = row
+        return row
+
+
 @dataclass
 class EmbeddingSet:
-    """The embedding tables of one model plus its fixed sequence length."""
+    """The embedding tables of one model plus its fixed sequence length.
+    `word_rows` memoizes the word table's lookup, so the word table's
+    index must not change after construction."""
 
     word: EmbeddingTable
     pos1: EmbeddingTable
     pos2: EmbeddingTable
     char: EmbeddingTable | None
     n: int
+    word_rows: WordRows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.pos1.rows != 2 * self.n - 1 or self.pos2.rows != 2 * self.n - 1:
             raise ValueError("position tables must have 2n-1 rows")
-
-
-def _word_row(token: str, table: EmbeddingTable) -> int:
-    # Reserved tokens hit their own rows directly; everything else is
-    # lowercased first, falling back to UNK.
-    if token in (PAD_WORD, UNK_WORD):
-        return table.index[token]
-    return table.index.get(token.lower(), table.index[UNK_WORD])
+        self.word_rows = WordRows(self.word.index)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +293,7 @@ def build_input_matrix(instance, tables: EmbeddingSet,
     if len(lookup) != len(real):
         raise ValueError("word-lookup tokens must align with the instance tokens")
 
-    parts = [T.gather(tables.word.weights, [_word_row(tok, tables.word) for tok in _padded(lookup, n)]),
+    parts = [T.gather(tables.word.weights, [tables.word_rows[tok] for tok in _padded(lookup, n)]),
              T.gather(tables.pos1.weights, [tables.pos1.index[i - i1] for i in range(n)]),
              T.gather(tables.pos2.weights, [tables.pos2.index[i - i2] for i in range(n)])]
     if char_params is not None:

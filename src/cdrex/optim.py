@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,6 +40,9 @@ GRID_LEARNING_RATES = (5e-06, 1e-05, 5e-05, 1e-04, 5e-04)
 GRID_FILTERS = (100, 200, 300, 400, 500)
 GRID_DROPOUTS = (0.25, 0.5)
 
+# Elements per block of `nadam_step`: two float64 scratch blocks of 128 KiB.
+NADAM_BLOCK = 1 << 14
+
 
 @dataclass
 class NadamState:
@@ -54,13 +58,15 @@ class NadamState:
 def nadam_step(named_params: list[tuple[str, Tensor]], state: NadamState) -> NadamState:
     """One in-place update over (name, tensor) pairs, reading each
     tensor's accumulated gradient through `grad_buffer()`, so a parameter
-    no gradient reached steps with zeros; a NaN gradient aborts the step
-    naming the parameter.
+    no gradient reached steps with zeros; a NaN gradient aborts the step,
+    naming the parameter, before anything is written.
 
-    Each expression is evaluated into two scratch arrays per parameter
-    with the operands and operation order of the formulas in the module
-    docstring, so the result is bit for bit that of evaluating them with
-    a fresh array per operation."""
+    Each parameter's flat view is updated NADAM_BLOCK elements at a time,
+    each expression evaluated into two block-sized scratch arrays shared
+    by all parameters, so the working set stays in cache.  The operands
+    and operation order are those of the formulas in the module docstring,
+    and every operation is elementwise, so the result is bit for bit that
+    of evaluating them over whole arrays with a fresh array per operation."""
     for name, tensor in named_params:
         if np.isnan(tensor.grad_buffer()).any():
             raise NumericsError(f"NaN gradient for parameter {name!r}")
@@ -69,30 +75,35 @@ def nadam_step(named_params: list[tuple[str, Tensor]], state: NadamState) -> Nad
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
+    scratch_s = np.empty(NADAM_BLOCK)
+    scratch_u = np.empty(NADAM_BLOCK)
     for name, tensor in named_params:
-        g = tensor.grad_buffer()
         m = state.first.get(name)
         if m is None:
             m = state.first[name] = np.zeros_like(tensor.data)
         v = state.second.get(name)
         if v is None:
             v = state.second[name] = np.zeros_like(tensor.data)
-        s = np.empty_like(tensor.data)
-        u = np.empty_like(tensor.data)
-        # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
-        m *= b1
-        m += np.multiply(1.0 - b1, g, out=s)
-        v *= b2
-        np.multiply(1.0 - b2, g, out=s)
-        v += np.multiply(s, g, out=s)
-        # s = b1*(m/bias1) + ((1-b1)*g)/bias1
-        np.multiply(b1, np.divide(m, bias1, out=s), out=s)
-        np.divide(np.multiply(1.0 - b1, g, out=u), bias1, out=u)
-        np.add(s, u, out=s)
-        # s = lr * (s / (sqrt(v/bias2) + eps))
-        np.add(np.sqrt(np.divide(v, bias2, out=u), out=u), state.eps, out=u)
-        np.divide(s, u, out=s)
-        tensor.data -= np.multiply(state.learning_rate, s, out=s)
+        # Flat views: tensor data is row-major, and so are the gradient
+        # and moment arrays made in its likeness.
+        flat = [a.reshape(-1) for a in (tensor.data, tensor.grad_buffer(), m, v)]
+        for lo in range(0, flat[0].size, NADAM_BLOCK):
+            p, g, m, v = (a[lo:lo + NADAM_BLOCK] for a in flat)
+            s, u = scratch_s[:p.size], scratch_u[:p.size]
+            # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+            m *= b1
+            m += np.multiply(1.0 - b1, g, out=s)
+            v *= b2
+            np.multiply(1.0 - b2, g, out=s)
+            v += np.multiply(s, g, out=s)
+            # s = b1*(m/bias1) + ((1-b1)*g)/bias1
+            np.multiply(b1, np.divide(m, bias1, out=s), out=s)
+            np.divide(np.multiply(1.0 - b1, g, out=u), bias1, out=u)
+            np.add(s, u, out=s)
+            # s = lr * (s / (sqrt(v/bias2) + eps))
+            np.add(np.sqrt(np.divide(v, bias2, out=u), out=u), state.eps, out=u)
+            np.divide(s, u, out=s)
+            p -= np.multiply(state.learning_rate, s, out=s)
     return state
 
 
@@ -177,24 +188,44 @@ def fit_instances(instances: list[RelationInstance], n: int) -> list[RelationIns
     return fitted
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def predict_pairs(split: DataSplit, params: ModelParams,
                   train_relations: set[tuple[str, str]]) -> dict[str, set[tuple[str, str]]]:
     """Document-level predicted pairs for a split, via mention-level
     classification plus the training co-occurrence rule.  An instance
-    that `fit_instances` drops predicts no pair, as one labelled 0."""
+    that `fit_instances` drops predicts no pair, as one labelled 0.
+
+    The instances are classified on a thread pool created for this call,
+    one worker per usable CPU (`usable_cpus`): each forward is independent
+    and graph-free, and numpy releases the interpreter lock inside its
+    matrix products.  Each instance runs the same single-threaded
+    arithmetic, so the labels do not depend on the number of workers.
+    Labels are read in instance order, so a failure raises the error of
+    the earliest failing instance, and every worker has finished when the
+    call returns or raises."""
     rng = Rng(0)  # inference is deterministic; the stream is never used
     fitted = fit_instances(split.instances, params.hyper.n)
     chars = model.inference_chars(fitted, params)  # valid for this call's parameters only
+
+    def label(inst: RelationInstance) -> int:
+        return model.forward(inst, params, rng, training=False, chars=chars).label
+
+    with ThreadPoolExecutor(max_workers=usable_cpus()) as pool:
+        labels = dict(zip([inst.uid for inst in fitted], pool.map(label, fitted)))
     by_doc: dict[str, list[RelationInstance]] = {}
     for inst in fitted:
         by_doc.setdefault(inst.pmid, []).append(inst)
     predicted = {}
     for doc in split.documents:
         instances = by_doc.get(doc.pmid, [])
-        labels = {inst.uid: model.forward(inst, params, rng, training=False, chars=chars).label
-                  for inst in instances}
-        predicted[doc.pmid] = evaluation.aggregate_document(doc, instances, labels,
-                                                            train_relations)
+        predicted[doc.pmid] = evaluation.aggregate_document(
+            doc, instances, {inst.uid: labels[inst.uid] for inst in instances}, train_relations)
     return predicted
 
 

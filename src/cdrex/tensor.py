@@ -27,9 +27,11 @@ independent graphs never share state.
 Inference builds no graph: inside `with no_grad():` every operation
 returns a plain result that records no operands and no backward rule, so
 nothing stays reachable once the result is read.  Values are the same
-arithmetic as with the graph, bit for bit.  The switch is process-wide
-(not per thread) and the previous state comes back when the block exits,
-also on an exception.
+arithmetic as with the graph, bit for bit.  The switch is per thread:
+inference may run on worker threads (see `optim.predict_pairs`), and one
+thread's `no_grad` never turns graph recording off in another.  The
+thread's previous state comes back when the block exits, also on an
+exception.
 
 `conv_relu_max` runs a convolution, its ReLU and the max over time as
 one node, in place of the chain `conv1d_valid → relu → max_over_time`
@@ -78,6 +80,7 @@ from __future__ import annotations
 
 import contextlib
 import logging
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -89,7 +92,13 @@ log = logging.getLogger(__name__)
 LOG_CLAMP = 1e-12
 
 _debug_numerics = False
-_grad_enabled = True
+
+
+class _GradMode(threading.local):
+    enabled = True  # each thread starts with graph recording on
+
+
+_grad_mode = _GradMode()
 
 
 def set_debug_numerics(enabled: bool) -> None:
@@ -100,14 +109,13 @@ def set_debug_numerics(enabled: bool) -> None:
 
 @contextlib.contextmanager
 def no_grad():
-    """Operations inside the block record no graph."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    """Operations this thread runs inside the block record no graph."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_mode.enabled = previous
 
 
 class ShapeError(ValueError):
@@ -204,7 +212,7 @@ def graph_nodes(root: Tensor) -> list[Tensor]:
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -542,7 +550,7 @@ def lstm_final_states(x: Tensor, lengths: Sequence[int], wx: Tensor, wh: Tensor,
         tc = np.tanh(c)
         h = ifo[:, 2 * u:] * tc
         final[order[active[s + 1]:n]] = h[active[s + 1]:]
-        if _grad_enabled:
+        if _grad_mode.enabled:
             saved.append((h_prev, c_prev, ifo, g, tc))
 
     def backward(grad):

@@ -23,6 +23,13 @@
 - `unk_replace` drawing one `Rng.random()` per token, which one
   `fill_uniform` draw per instance replaced.  Tests require the same
   tokens and the same generator state afterwards.
+- `nadam_step` over each parameter's whole array, with two full-size
+  scratch arrays per parameter: the step that the blocked
+  `optim.nadam_step` replaced.  Tests require the same parameters and
+  moments, bit for bit.
+- `predict_pairs` classifying the instances one after another on the
+  calling thread, which `optim.predict_pairs`'s worker pool replaced.
+  Tests require the same pairs and probabilities, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,12 +39,12 @@ import logging
 
 import numpy as np
 
-from cdrex import corpus, encoders
+from cdrex import corpus, encoders, evaluation, model, optim
 from cdrex import tensor as T
 from cdrex.corpus import CHEMICAL, DISEASE, Document, Mention, RelationInstance, Token
 from cdrex.encoders import CharEncoderParams, EmbeddingTable, LstmParams, _char_ids
 from cdrex.rng import Rng
-from cdrex.tensor import ShapeError, Tensor
+from cdrex.tensor import NumericsError, ShapeError, Tensor
 
 
 def _lstm_final_state(xproj: Tensor, steps: range, p: LstmParams) -> Tensor:
@@ -267,3 +274,57 @@ def unk_replace(tokens: list[str], counts: dict[str, int], rng: Rng) -> list[str
         p = 0.25 / (0.25 + n_w)
         out.append(encoders.UNK_WORD if rng.random() < p else tok)
     return out
+
+
+def nadam_step(named_params, state):
+    """`optim.nadam_step` evaluating each expression over a parameter's
+    whole array, into two scratch arrays of its size."""
+    for name, tensor in named_params:
+        if np.isnan(tensor.grad_buffer()).any():
+            raise NumericsError(f"NaN gradient for parameter {name!r}")
+    state.step += 1
+    t = state.step
+    b1, b2 = state.beta1, state.beta2
+    bias1 = 1.0 - b1 ** t
+    bias2 = 1.0 - b2 ** t
+    for name, tensor in named_params:
+        g = tensor.grad_buffer()
+        m = state.first.get(name)
+        if m is None:
+            m = state.first[name] = np.zeros_like(tensor.data)
+        v = state.second.get(name)
+        if v is None:
+            v = state.second[name] = np.zeros_like(tensor.data)
+        s = np.empty_like(tensor.data)
+        u = np.empty_like(tensor.data)
+        m *= b1
+        m += np.multiply(1.0 - b1, g, out=s)
+        v *= b2
+        np.multiply(1.0 - b2, g, out=s)
+        v += np.multiply(s, g, out=s)
+        np.multiply(b1, np.divide(m, bias1, out=s), out=s)
+        np.divide(np.multiply(1.0 - b1, g, out=u), bias1, out=u)
+        np.add(s, u, out=s)
+        np.add(np.sqrt(np.divide(v, bias2, out=u), out=u), state.eps, out=u)
+        np.divide(s, u, out=s)
+        tensor.data -= np.multiply(state.learning_rate, s, out=s)
+    return state
+
+
+def predict_pairs(split, params, train_relations):
+    """`optim.predict_pairs` with every forward on the calling thread,
+    document by document."""
+    rng = Rng(0)
+    fitted = optim.fit_instances(split.instances, params.hyper.n)
+    chars = model.inference_chars(fitted, params)
+    by_doc = {}
+    for inst in fitted:
+        by_doc.setdefault(inst.pmid, []).append(inst)
+    predicted = {}
+    for doc in split.documents:
+        instances = by_doc.get(doc.pmid, [])
+        labels = {inst.uid: model.forward(inst, params, rng, training=False, chars=chars).label
+                  for inst in instances}
+        predicted[doc.pmid] = evaluation.aggregate_document(doc, instances, labels,
+                                                            train_relations)
+    return predicted

@@ -1,6 +1,11 @@
+import contextlib
 import dataclasses
 import gc
 import logging
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ import oracle
 from cdrex import encoders
 from cdrex import model as M
 from cdrex import optim
+from cdrex import tensor as T
 from cdrex.corpus import build_instances, build_vocab, fit_instance, parse_pubtator
 from cdrex.evaluation import aggregate_document, prf1
 from cdrex.optim import (
@@ -16,6 +22,7 @@ from cdrex.optim import (
     GRID_DROPOUTS,
     GRID_FILTERS,
     GRID_LEARNING_RATES,
+    NADAM_BLOCK,
     NadamState,
     TrainConfig,
     default_grid,
@@ -168,6 +175,74 @@ class TestNadamMatchesExpressionForm:
         assert 0.0 < abs(m[0]) < 1e-299 and v[0] == 0.0 and v[2] > 1e+290
 
 
+class TestBlockedNadam:
+    """`nadam_step` against the whole-array step it replaced."""
+
+    SIZES = (1, NADAM_BLOCK - 1, NADAM_BLOCK, NADAM_BLOCK + 1)
+
+    @staticmethod
+    def assert_same(fast, fast_state, ref, ref_state, step):
+        assert fast_state.step == ref_state.step
+        for (name, a), (_, b) in zip(fast, ref):
+            assert same_bits(a.data, b.data), (step, name)
+            assert same_bits(fast_state.first[name], ref_state.first[name]), (step, name)
+            assert same_bits(fast_state.second[name], ref_state.second[name]), (step, name)
+
+    def test_sizes_around_the_block_match_the_oracle(self):
+        rng = np.random.default_rng(7)
+        init = {f"p{size}": rng.normal(size=size) for size in self.SIZES}
+        init["matrix"] = rng.normal(size=(3, NADAM_BLOCK // 2 + 1))  # two blocks and a tail
+        fast, ref = ([(name, Tensor(data.copy(), requires_grad=True)) for name, data in init.items()]
+                     for _ in range(2))
+        fast_state, ref_state = NadamState(learning_rate=0.01), NadamState(learning_rate=0.01)
+        for step in range(5):
+            for (_, a), (_, b) in zip(fast, ref):
+                a.grad = TestNadamMatchesExpressionForm.gradient(rng, a.shape, step)
+                b.grad = a.grad.copy()
+            nadam_step(fast, fast_state)
+            oracle.nadam_step(ref, ref_state)
+            self.assert_same(fast, fast_state, ref, ref_state, step)
+
+    def test_cnn_model_matches_the_oracle(self):
+        split = synthetic_split(8)
+        vocab = build_vocab(split.documents, split.instances)
+        fast_params, ref_params = (M.init_model(vocab, "cnn", Rng(5)) for _ in range(2))
+        fast, ref = fast_params.named_tensors(), ref_params.named_tensors()
+        assert fast_params.conv_filters.data.size > 2 * NADAM_BLOCK
+        fast_state, ref_state = NadamState(learning_rate=0.01), NadamState(learning_rate=0.01)
+        batch = [fit_instance(inst, vocab.n) for inst in split.instances]
+        for step in range(4):
+            zero_grads(fast)
+            M.loss(batch, fast_params, Rng(step)).backward()
+            for (_, a), (_, b) in zip(fast, ref):
+                b.grad = a.grad_buffer().copy()
+            nadam_step(fast, fast_state)
+            oracle.nadam_step(ref, ref_state)
+            self.assert_same(fast, fast_state, ref, ref_state, step)
+
+    def test_nan_in_the_last_block_leaves_everything_untouched(self):
+        rng = np.random.default_rng(8)
+        named = [(f"p{size}", Tensor(rng.normal(size=size), requires_grad=True))
+                 for size in self.SIZES]
+        state = NadamState(learning_rate=0.01)
+        for _, tensor in named:
+            tensor.grad = rng.normal(size=tensor.shape)
+        nadam_step(named, state)
+        before = {name: (t.data.copy(), state.first[name].copy(), state.second[name].copy())
+                  for name, t in named}
+        for _, tensor in named:
+            tensor.grad = rng.normal(size=tensor.shape)
+        named[-1][1].grad[-1] = np.nan
+        with pytest.raises(NumericsError, match=repr(named[-1][0])):
+            nadam_step(named, state)
+        assert state.step == 1
+        for name, tensor in named:
+            data, first, second = before[name]
+            assert same_bits(tensor.data, data), name
+            assert same_bits(state.first[name], first), name
+            assert same_bits(state.second[name], second), name
+
+
 # ---------------------------------------------------------------------------
 # Synthetic corpus helpers
 
@@ -293,9 +368,13 @@ class TestTrain:
         inst = broken_dev.instances[0]
         broken_dev.instances[0] = dataclasses.replace(inst, i1=len(inst.tokens) - 1,
                                                       i2=len(inst.tokens))
-        report, _ = train(tiny_config(epochs=3), split, broken_dev)
+        report, params = train(tiny_config(epochs=3), split, broken_dev)
         assert report.status.startswith("aborted")
         assert report.epochs == []  # failed during the first dev evaluation
+        # The failed inference leaves graph recording on for training.
+        batch = [fit_instance(inst, params.hyper.n) for inst in split.instances]
+        loss = M.loss(batch, params, Rng(0))
+        assert loss.requires_grad and len(graph_nodes(loss)) > len(params.named_tensors())
 
     def test_training_failure_returns_partial_report(self, monkeypatch, tmp_path):
         # One minibatch per epoch: the update of epoch 2 fails.
@@ -605,6 +684,96 @@ class TestGraphFreeInference:
         assert set(after) == {name for name, _ in named}
         for name, _ in named:
             assert np.array_equal(after[name], before[name]), name
+
+
+def spy_forward(monkeypatch) -> dict[str, tuple[bytes, int]]:
+    """uid -> (probability bytes, thread id) of every `model.forward`
+    call from here on."""
+    seen = {}
+    real = M.forward
+
+    def forward(inst, *args, **kwargs):
+        pred = real(inst, *args, **kwargs)
+        seen[inst.uid] = (pred.probabilities.tobytes(), threading.get_ident())
+        return pred
+
+    monkeypatch.setattr(M, "forward", forward)
+    return seen
+
+
+def pool_threads() -> set[threading.Thread]:
+    return {t for t in threading.enumerate() if t is not threading.main_thread()}
+
+
+class TestPredictPairsPool:
+    def test_workers_are_the_usable_cpus(self, monkeypatch):
+        expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert optim.usable_cpus() == expected
+        sizes = []
+        real = optim.ThreadPoolExecutor
+
+        def executor(max_workers):
+            sizes.append(max_workers)
+            return real(max_workers)
+
+        monkeypatch.setattr(optim, "ThreadPoolExecutor", executor)
+        split = synthetic_split(4)
+        predict_pairs(split, inference_model("cnn", split), set())
+        assert sizes == [expected]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_equals_the_serial_loop(self, variant, workers, monkeypatch):
+        split = synthetic_split(12)
+        params = inference_model(variant, split)
+        train_rel = training_relations(split.documents[:4])
+        monkeypatch.setattr(optim, "usable_cpus", lambda: workers)
+        reference_seen = spy_forward(monkeypatch)
+        reference = oracle.predict_pairs(split, params, train_rel)
+        seen = spy_forward(monkeypatch)
+        params.tables.word_rows.clear()  # the workers fill it, switching often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pairs = predict_pairs(split, params, train_rel)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pairs == reference
+        assert seen.keys() == reference_seen.keys() == {inst.uid for inst in split.instances}
+        for uid, (probabilities, _) in seen.items():
+            assert probabilities == reference_seen[uid][0], uid
+        threads = {thread for _, thread in seen.values()}
+        assert threading.get_ident() not in threads and len(threads) <= workers
+
+    def test_earliest_failure_raised_and_no_worker_outlives_the_call(self, monkeypatch):
+        split = synthetic_split(12)
+        params = inference_model("cnn", split)
+        uids = [inst.uid for inst in split.instances]
+        failing = {uids[3], uids[7]}
+        real = M.class_probabilities
+
+        def class_probabilities(inst, *args, **kwargs):
+            # Runs inside `forward`'s no_grad block; the sleeps make the
+            # workers' blocks overlap, and the earliest failing instance
+            # fail last.
+            time.sleep(0.02 if inst.uid == uids[3] else 0.001)
+            if inst.uid in failing:
+                raise RuntimeError(inst.uid)
+            return real(inst, *args, **kwargs)
+
+        monkeypatch.setattr(M, "class_probabilities", class_probabilities)
+        monkeypatch.setattr(optim, "usable_cpus", lambda: 4)
+        before = pool_threads()
+        w = Tensor(np.ones(2), requires_grad=True)
+        for attempt in range(24):
+            recording = attempt % 2 == 0  # the caller's grad mode
+            with contextlib.nullcontext() if recording else T.no_grad():
+                with pytest.raises(RuntimeError) as caught:
+                    predict_pairs(split, params, set())
+                assert str(caught.value) == uids[3]
+                assert pool_threads() <= before
+                assert T.add(w, w).requires_grad == recording
+            assert T.add(w, w).requires_grad
 
 
 class TestGcPause:

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -324,6 +326,32 @@ class TestNoGrad:
         with pytest.raises(ShapeError):
             with T.no_grad():
                 add(a, t([1.0, 2.0]))
+        assert add(a, a).requires_grad
+
+    @pytest.mark.parametrize("blocked", ["other", "this"])
+    def test_grad_mode_is_per_thread(self, blocked):
+        """One thread's no_grad block leaves another thread recording."""
+        a = t([1.0], requires_grad=True)
+        inside, release = threading.Event(), threading.Event()
+        recorded = {}
+
+        def other():
+            with T.no_grad() if blocked == "other" else contextlib.nullcontext():
+                recorded["other"] = add(a, a).requires_grad
+                inside.set()
+                release.wait(timeout=10)
+
+        thread = threading.Thread(target=other)
+        with T.no_grad() if blocked == "this" else contextlib.nullcontext():
+            thread.start()
+            try:
+                assert inside.wait(timeout=10)
+                recorded["this"] = add(a, a).requires_grad
+            finally:
+                release.set()
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert recorded == {"other": blocked != "other", "this": blocked != "this"}
         assert add(a, a).requires_grad
 
     def test_nested_contexts_restore_the_outer_state(self):
