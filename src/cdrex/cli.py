@@ -262,8 +262,8 @@ def _check_vocabulary_overlap(params: model.ModelParams, split: optim.DataSplit)
     # the UNK row and scores would be meaningless.
     reserved = {encoders.PAD_WORD, encoders.UNK_WORD}
     vocab = set(params.tables.word.index) - reserved
-    seen = {tok.lower() for inst in split.instances for tok in inst.tokens
-            if any(c.isalnum() for c in tok)}
+    raw = {tok for inst in split.instances for tok in inst.tokens}  # each form checked once
+    seen = {tok.lower() for tok in raw if any(c.isalnum() for c in tok)}
     if seen and vocab and not (vocab & seen):
         raise VocabularyMismatch(
             "model vocabulary shares no words with the corpus; the model was "

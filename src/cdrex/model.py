@@ -166,6 +166,29 @@ def init_model(vocab, variant: str, rng: Rng, *, m: int = 100, rho: float = 0.5,
 # Forward pass and loss
 
 
+def head(mat: Tensor, filters: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, rho: float,
+         uniforms: np.ndarray | None) -> Tensor:
+    """Probability vector over CLASS_ORDER from an input matrix: the
+    convolution's max over time, dropout with `uniforms` (None at
+    inference), and the softmax of `w1 @ z + b1`."""
+    z = T.conv_relu_max(mat, filters, bias)
+    z = T.dropout(z, rho, uniforms)
+    return T.softmax(T.add(T.matmul(w1, z), b1))
+
+
+def _head_tensors(params: ModelParams) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    return params.conv_filters, params.conv_bias, params.w1, params.b1
+
+
+def _dropout_uniforms(params: ModelParams, rng: Rng, count: int) -> list | np.ndarray:
+    """The dropout uniforms of `count` instances, one row of m each, drawn
+    from `rng` in one draw that equals `count` separate ones; at rho 0
+    nothing is drawn and every row is None."""
+    if params.hyper.rho == 0.0:
+        return [None] * count
+    return rng.fill_uniform((count, params.conv_filters.shape[0]), 0.0, 1.0)
+
+
 def class_probabilities(instance, params: ModelParams, rng: Rng, training: bool,
                         word_tokens: list[str] | None = None,
                         chars: tuple[Tensor, dict[str, int]] | None = None) -> Tensor:
@@ -173,9 +196,8 @@ def class_probabilities(instance, params: ModelParams, rng: Rng, training: bool,
     run under `tensor.no_grad`."""
     mat = encoders.build_input_matrix(instance, params.tables, params.char_params,
                                       word_tokens=word_tokens, chars=chars)
-    z = T.conv_relu_max(mat, params.conv_filters, params.conv_bias)
-    z = T.dropout(z, params.hyper.rho, rng, training)
-    return T.softmax(T.add(T.matmul(params.w1, z), params.b1))
+    uniforms = _dropout_uniforms(params, rng, 1)[0] if training else None
+    return head(mat, *_head_tensors(params), params.hyper.rho, uniforms)
 
 
 def inference_chars(instances, params: ModelParams) -> tuple[Tensor, dict[str, int]] | None:
@@ -202,18 +224,34 @@ def forward(instance, params: ModelParams, rng: Rng, training: bool = False,
 def loss(batch, params: ModelParams, rng: Rng,
          lookup_tokens: dict[str, list[str]] | None = None) -> Tensor:
     """Mean per-instance negative log likelihood over the batch, plus the
-    L2 penalty added once (not per instance)."""
+    L2 penalty added once (not per instance).
+
+    The calling thread builds each instance's input matrix, in order (the
+    word and position gathers and the character encoder), and the rest of
+    each instance, `head` and its NLL, runs forward and backward on a
+    worker pool inside one `tensor.mean_of_heads` node, whose value and
+    gradients are those of the serial per-instance graph bit for bit.
+    The dropout uniforms of the whole batch are drawn first, in one draw
+    that leaves `rng` as one draw per instance does.  The error of the
+    earliest failing instance is raised."""
     if not batch:
         raise ValueError("loss needs a nonempty batch")
-    total = None
-    for inst in batch:
-        if getattr(inst, "label", None) is None:
-            raise ValueError(f"instance {getattr(inst, 'uid', '?')} has no gold label")
-        word_tokens = lookup_tokens.get(inst.uid) if lookup_tokens else None
-        p = class_probabilities(inst, params, rng, training=True, word_tokens=word_tokens)
-        nll = T.nll_loss(p, inst.label)
-        total = nll if total is None else T.add(total, nll)
-    mean = T.scale(total, 1.0 / len(batch))
+    rho = params.hyper.rho
+    uniforms = _dropout_uniforms(params, rng, len(batch))
+
+    def matrices():
+        for inst in batch:
+            if getattr(inst, "label", None) is None:
+                raise ValueError(f"instance {getattr(inst, 'uid', '?')} has no gold label")
+            word_tokens = lookup_tokens.get(inst.uid) if lookup_tokens else None
+            yield encoders.build_input_matrix(inst, params.tables, params.char_params,
+                                              word_tokens=word_tokens)
+
+    def nll(i: int, mat: Tensor, shared: tuple[Tensor, ...]) -> Tensor:
+        p = head(mat, *shared, rho, uniforms[i])
+        return T.nll_loss(p, batch[i].label)
+
+    mean = T.mean_of_heads(matrices(), _head_tensors(params), nll)
     if params.hyper.l2 != 0.0:
         penalty = None
         for w in params.regularizable():

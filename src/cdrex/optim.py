@@ -28,7 +28,7 @@ from .corpus import DEFAULT_MAX_TOKENS, Document, RelationInstance, Vocab, build
 from .encoders import unk_replace
 from .model import ModelParams
 from .rng import Rng
-from .tensor import NumericsError, Tensor
+from .tensor import NumericsError, Tensor, usable_cpus
 
 log = logging.getLogger(__name__)
 
@@ -186,13 +186,6 @@ def fit_instances(instances: list[RelationInstance], n: int) -> list[RelationIns
             continue
         fitted.append(fit_instance(inst, n))
     return fitted
-
-
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def predict_pairs(split: DataSplit, params: ModelParams,

@@ -67,18 +67,26 @@ class Rng:
 
         The splitmix64 state advance is a fixed increment, so the next n
         states are computed in one vectorized pass and the scalar and array
-        paths produce the same stream.
+        paths produce the same stream.  Every pass runs in place, through
+        one scratch array: the same integer and float operations, in the
+        same order, as the expressions of `next_u64` and `uniform`.
         """
         n = int(np.prod(shape)) if shape else 1
-        steps = np.arange(1, n + 1, dtype=np.uint64)
-        states = np.uint64(self._state) + np.uint64(_GOLDEN) * steps
-        z = states
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self._state)
+        t = np.empty_like(z)
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            z ^= np.right_shift(z, np.uint64(shift), out=t)
+            z *= np.uint64(mix)
+        z ^= np.right_shift(z, np.uint64(31), out=t)
+        z >>= np.uint64(11)
         self._state = (self._state + n * _GOLDEN) & _MASK64
-        u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return (lo + (hi - lo) * u).reshape(shape)
+        u = z.astype(np.float64)
+        u *= 2.0**-53
+        u *= hi - lo
+        u += lo
+        return u.reshape(shape)
 
     def randbelow(self, n: int) -> int:
         """Integer in [0, n).  Modulo reduction; bias is negligible for the

@@ -8,30 +8,54 @@ accumulates gradients into the reachable tensors with `requires_grad`.
 
 Gradients follow one rule: `Tensor.grad_buffer()` is the only place a
 gradient array is created, zero-filled on a tensor's first touch, and
-every backward rule adds into it in place, a whole array through
-`accumulate_grad` or a few rows or entries as a scatter.  A tensor that
-no gradient reaches keeps `grad` None, and readers (Nadam, `grad_check`)
-see zeros through the same call.  No gradient buffer ever holds -0.0:
+`Tensor.accumulate_grad` is the one place a backward rule writes into it:
+it adds in place, a whole array or a few rows or entries as a scatter.
+The one exception is `_accumulate_in_order`, the LSTM's batched form of
+many whole-array writes, which never runs in a head (below).  A tensor
+that no gradient reaches keeps `grad` None, and readers (Nadam,
+`grad_check`) see zeros through the same call.  No gradient buffer ever
+holds -0.0:
 each starts as +0.0 zeros, or ones at the root, and only additions change
 it, and in round-to-nearest `x + y` is -0.0 only when both operands are.
 So adding a few values into a slice in place gives the bits of adding a
 dense array that holds +0.0 everywhere else, and a first contribution
 `0.0 + g` has the bits of `g + 0.0` (-0.0 becomes +0.0; NaN and inf pass).
 
-Graphs are confined to a single thread for the duration of a forward and
-backward pass, and backward() must run before any operand's data is
-mutated in place (backward rules read operand data live).  There is no
-global tape: the graph lives in the result tensors themselves, so
-independent graphs never share state.
+backward() must run before any operand's data is mutated in place
+(backward rules read operand data live).  There is no global tape: the
+graph lives in the result tensors themselves, so independent graphs
+never share state.
+
+A graph is built and walked on one thread, except inside
+`mean_of_heads`, the minibatch mean of one scalar head per instance:
+each head's graph is built on a worker thread of a pool made for the
+forward pass, and walked backward on a worker of a pool made for the
+backward pass, never by two threads at once.  A head's leaves are
+stand-ins for its input and for the tensors all heads share, with the
+same data.  Its input's gradient goes straight into that input's buffer,
+which no other head touches; its writes into the shared tensors are
+recorded on the worker, and the caller applies each head's records in
+instance order after the ones before.  Every such write goes through
+`accumulate_grad`, whichever rule makes it (the test oracle swaps in
+others), so no two threads add into one buffer.  Each shared tensor thus
+takes the same additions, in the same order, as in the serial chain
+`scale(add(add(h_0, h_1), ...), 1/B)`: there, the backward pass reaches
+head 0, then head 1's, and so on, each head's subgraph, input included,
+before the next head's, and the input subgraphs share no node.  Each
+head is seeded with `0.0 + g/B`, the bits that the chain's `scale` and
+`add` rules hand it, and the value is the chain's left fold, so the loss
+and every gradient keep their bits.  After the node's backward rule, the
+pass goes on into the inputs' subgraphs in instance order, as the
+chain's does.
 
 Inference builds no graph: inside `with no_grad():` every operation
 returns a plain result that records no operands and no backward rule, so
 nothing stays reachable once the result is read.  Values are the same
 arithmetic as with the graph, bit for bit.  The switch is per thread:
 inference may run on worker threads (see `optim.predict_pairs`), and one
-thread's `no_grad` never turns graph recording off in another.  The
-thread's previous state comes back when the block exits, also on an
-exception.
+thread's `no_grad` never turns graph recording off in another; the heads
+of `mean_of_heads` run in their caller's mode.  The thread's previous
+state comes back when the block exits, also on an exception.
 
 `conv_relu_max` runs a convolution, its ReLU and the max over time as
 one node, in place of the chain `conv1d_valid → relu → max_over_time`
@@ -80,12 +104,12 @@ from __future__ import annotations
 
 import contextlib
 import logging
+import os
 import threading
-from typing import Callable, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-from .rng import Rng
 
 log = logging.getLogger(__name__)
 
@@ -158,12 +182,26 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        """Add `g`, of the data's shape, into `grad_buffer()`."""
-        if g.shape != self.data.shape:
+    def accumulate_grad(self, g, at=..., repeats: bool = False) -> None:
+        """Add `g` into `grad_buffer()[at]` in place: the one place a
+        backward rule writes a gradient (see the module docstring).
+
+        `at` indexes the buffer, the whole of it by default, and selects
+        no entry twice.  With `repeats`, `at` is a 1-D array of row numbers
+        that may repeat and `g` holds one row per number; each entry takes
+        its values in order, as from `np.add.at(grad, at, g)`, computed as
+        one `np.add.at` over the flat buffer, several times faster."""
+        if at is ... and g.shape != self.data.shape:
             raise ShapeError(f"gradient of shape {g.shape} for data of shape {self.data.shape}")
         grad = self.grad_buffer()
-        grad += g
+        if repeats:
+            width = grad.size // grad.shape[0]
+            entries = (at[:, None] * width + np.arange(width)).reshape(-1)
+            np.add.at(grad.reshape(-1), entries, g.reshape(-1))
+        elif at is ...:
+            grad += g
+        else:
+            grad[at] += g
 
     def grad_buffer(self) -> np.ndarray:
         """`grad` for a backward rule to write into in place, zero-filled
@@ -176,14 +214,19 @@ class Tensor:
         """Reverse-mode gradient pass from a scalar root."""
         if self.data.ndim != 0:
             raise ShapeError(f"backward() needs a scalar root, got shape {self.shape}")
-        order = graph_nodes(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            # grad is None when no gradient reached the node (e.g. past a
-            # clamp); propagating zeros would be a no-op.
-            if node._backward_fn is None or node.grad is None:
-                continue
-            node._backward_fn(node.grad)
+        _backprop(self)
+
+
+def _backprop(root: Tensor) -> None:
+    """Run the backward rule of every node reachable from `root`, whose
+    gradient is set, in reverse topological order."""
+    for node in reversed(graph_nodes(root)):
+        # grad is None when no gradient reached the node (e.g. past a
+        # clamp); propagating zeros would be a no-op.
+        if node._backward_fn is None or node.grad is None:
+            continue
+        node._backward_fn(node.grad)
 
 
 def graph_nodes(root: Tensor) -> list[Tensor]:
@@ -354,16 +397,15 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
 
 def gather(table: Tensor, indices) -> Tensor:
     """Select rows of a 2-D tensor; gradients scatter-add back.  The
-    scatter writes into the table's gradient buffer directly, so embedding
+    scatter writes into the table's gradient buffer in place, so embedding
     tables never allocate per-lookup temporaries of their own size.
 
     Indices that form one ascending run of consecutive rows (a position
     table's lookup) scatter as a slice add: each row receives one
     addition, as with `np.add.at`, at a small part of the cost.  Other
     indices may repeat (the word table's PAD rows), and scatter through
-    one `np.add.at` over the flat entries: each entry receives its
-    additions in index order, as from a row-wise `np.add.at`, which is
-    several times slower."""
+    `accumulate_grad`'s `repeats` form: each entry receives its additions
+    in index order."""
     idx = np.asarray(indices, dtype=np.intp)
     if table.data.ndim != 2 or idx.ndim != 1:
         raise ShapeError("gather: needs a 2-D table and 1-D indices")
@@ -371,13 +413,10 @@ def gather(table: Tensor, indices) -> Tensor:
         raise ShapeError("gather: index out of range")
     def backward(g):
         if table.requires_grad:
-            grad = table.grad_buffer()
             if idx.size and (np.diff(idx) == 1).all():
-                grad[idx[0]:idx[-1] + 1] += g
+                table.accumulate_grad(g, slice(idx[0], idx[-1] + 1))
             else:
-                width = table.shape[1]
-                entries = (idx[:, None] * width + np.arange(width)).reshape(-1)
-                np.add.at(grad.reshape(-1), entries, g.reshape(-1))
+                table.accumulate_grad(g, idx, repeats=True)
     return _result(table.data[idx], (table,), backward, "gather")
 
 
@@ -386,7 +425,7 @@ def row(a: Tensor, i: int) -> Tensor:
         raise ShapeError(f"row: index {i} into shape {a.shape}")
     def backward(g):
         if a.requires_grad:
-            a.grad_buffer()[i] += g
+            a.accumulate_grad(g, i)
     return _result(a.data[i].copy(), (a,), backward, "row")
 
 
@@ -395,7 +434,7 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
         raise ShapeError(f"slice_last: [{start}:{stop}] of {a.shape}")
     def backward(g):
         if a.requires_grad:
-            a.grad_buffer()[..., start:stop] += g
+            a.accumulate_grad(g, (..., slice(start, stop)))
     return _result(a.data[..., start:stop].copy(), (a,), backward, "slice")
 
 
@@ -444,13 +483,11 @@ def conv1d_valid(input: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
         if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=0))
         if filters.requires_grad:
-            filters_grad = filters.grad_buffer()
             for h in range(k):
-                filters_grad[:, h, :] += g.T @ input.data[h:h + length]
+                filters.accumulate_grad(g.T @ input.data[h:h + length], (slice(None), h))
         if input.requires_grad:
-            input_grad = input.grad_buffer()
             for h in range(k):
-                input_grad[h:h + length] += g @ filters.data[:, h, :]
+                input.accumulate_grad(g @ filters.data[:, h, :], slice(h, h + length))
 
     return _result(out_data, (input, filters, bias), backward, "conv1d_valid")
 
@@ -480,13 +517,12 @@ def conv_relu_max(input: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
             live = np.flatnonzero(gz)
             windows = input.data[argmax[live, None] + np.arange(k)]
             windows *= gz[live, None, None]
-            filters.grad_buffer()[live] += windows
+            filters.accumulate_grad(windows, live)
         if input.requires_grad:
             dense = np.zeros((length, cols.size))
             dense[argmax, cols] = gz
-            input_grad = input.grad_buffer()
             for h in range(k):
-                input_grad[h:h + length] += dense @ filters.data[:, h, :]
+                input.accumulate_grad(dense @ filters.data[:, h, :], slice(h, h + length))
 
     return _result(value, (input, filters, bias), backward, "conv_relu_max")
 
@@ -578,9 +614,8 @@ def lstm_final_states(x: Tensor, lengths: Sequence[int], wx: Tensor, wh: Tensor,
                 dc_next = dc * ifo[:, u:2 * u]
         spans = list(zip(offsets[:-1], offsets[1:]))
         if x.requires_grad:
-            dx = x.grad_buffer()
             for lo, hi in spans:
-                dx[lo:hi] += dgates_at[lo:hi] @ wx.data.T
+                x.accumulate_grad(dgates_at[lo:hi] @ wx.data.T, slice(lo, hi))
         if wx.requires_grad:
             for lo, hi in spans:
                 wx.accumulate_grad(x.data[lo:hi].T @ dgates_at[lo:hi])
@@ -604,7 +639,9 @@ def _accumulate_in_order(t: Tensor, seq: np.ndarray, fill, chunk: int = 64) -> N
     `np.add.reduce` over the leading axis of a C-contiguous stack adds its
     rows in sequence (a test pins this), so a stack that starts from the
     current gradient gives the same bits.  One reused buffer holds the
-    stack: fresh megabyte temporaries cost several times the arithmetic."""
+    stack: fresh megabyte temporaries cost several times the arithmetic.
+    This is the one backward helper that writes a buffer itself; the
+    leaves of a `mean_of_heads` head refuse it."""
     acc = t.grad_buffer()
     buf = np.empty((min(chunk, len(seq)) + 1,) + t.shape)
     for lo in range(0, len(seq), chunk):
@@ -624,7 +661,7 @@ def max_over_time(feature_map: Tensor) -> Tensor:
     cols = np.arange(feature_map.shape[1])
     def backward(g):
         if feature_map.requires_grad:
-            feature_map.grad_buffer()[argmax, cols] += g
+            feature_map.accumulate_grad(g, (argmax, cols))
     return _result(feature_map.data[argmax, cols], (feature_map,), backward, "max_over_time")
 
 
@@ -643,15 +680,19 @@ def softmax(logits: Tensor) -> Tensor:
     return _result(p, (logits,), backward, "softmax")
 
 
-def dropout(z: Tensor, rho: float, rng: Rng, training: bool) -> Tensor:
-    """Inverted dropout: components are zeroed with probability rho and the
-    survivors scaled by 1/(1-rho), so inference needs no correction.  In
-    inference mode the input tensor is returned unchanged."""
+def dropout(z: Tensor, rho: float, uniforms: np.ndarray | None) -> Tensor:
+    """Inverted dropout: component j is zeroed where `uniforms[j]`, one
+    uniform [0, 1) draw per component, is below rho, and the survivors are
+    scaled by 1/(1-rho), so inference needs no correction.  Without
+    uniforms (inference) or at rho = 0 the input tensor is returned
+    unchanged."""
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"dropout: rho must be in [0, 1), got {rho}")
-    if not training or rho == 0.0:
+    if uniforms is None or rho == 0.0:
         return z
-    mask = (rng.fill_uniform(z.shape, 0.0, 1.0) >= rho) / (1.0 - rho)
+    if uniforms.shape != z.shape:
+        raise ShapeError(f"dropout: uniforms of shape {uniforms.shape} for {z.shape}")
+    mask = (uniforms >= rho) / (1.0 - rho)
     def backward(g):
         if z.requires_grad:
             z.accumulate_grad(g * mask)
@@ -674,8 +715,103 @@ def nll_loss(p: Tensor, gold: int) -> Tensor:
         log.warning("nll_loss: p[gold]=%.3e clamped at %.0e", pg, LOG_CLAMP)
     def backward(g):
         if p.requires_grad and not clamped:
-            p.grad_buffer()[gold] += -float(g) / pg
+            p.accumulate_grad(-float(g) / pg, gold)
     return _result(np.asarray(-np.log(max(pg, LOG_CLAMP))), (p,), backward, "nll")
+
+
+# ---------------------------------------------------------------------------
+# The minibatch mean: one head per instance, on a worker pool
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Standin(Tensor):
+    """A head's leaf for a tensor outside its graph.  It shares the
+    tensor's data; its gradient writes go to the tensor at once, or, when
+    recorded, into `writes` for the caller to apply later."""
+
+    __slots__ = ("target", "writes")
+
+    def __init__(self, target: Tensor, record: bool):
+        super().__init__(target.data, target.requires_grad)
+        self.target = target
+        self.writes: list | None = [] if record else None
+
+    def accumulate_grad(self, g, at=..., repeats: bool = False) -> None:
+        if self.writes is None:
+            self.target.accumulate_grad(g, at, repeats)
+        else:
+            self.writes.append((g, at, repeats))
+
+    def grad_buffer(self) -> np.ndarray:
+        raise RuntimeError("a head writes gradients through accumulate_grad only")
+
+
+def mean_of_heads(inputs: Iterable[Tensor], shared: Sequence[Tensor],
+                  head: Callable[[int, Tensor, tuple[Tensor, ...]], Tensor]) -> Tensor:
+    """The mean over i of the scalars `head(i, inputs[i], shared)`, as one
+    node whose parents are the inputs, in order, and the shared tensors.
+
+    The value is the left fold `((h_0 + h_1) + ...) * (1/B)` of the chain
+    `scale(add(add(h_0, h_1), ...), 1/B)`, and the gradients are those of
+    that chain; see the module docstring.  Each head runs forward, and
+    later backward, on a worker pool made for that pass with one worker
+    per usable CPU, while the caller draws the next input from `inputs`;
+    the workers record graphs in the caller's grad mode.  A failure
+    raises the error of the earliest failing instance, whether drawing
+    its input or running its head failed, and every worker has finished
+    when the pass returns or raises."""
+    recording = _grad_mode.enabled
+
+    def forward(i: int, x: Tensor):
+        _grad_mode.enabled = recording
+        leaves = tuple(_Standin(t, record=True) for t in shared)
+        h = head(i, _Standin(x, record=False), leaves)
+        if h.data.ndim != 0:
+            raise ShapeError(f"mean_of_heads: head {i} has shape {h.shape}, expected a scalar")
+        return h, leaves
+
+    xs: list[Tensor] = []
+    failure = None
+    with ThreadPoolExecutor(max_workers=usable_cpus()) as pool:
+        runs = []
+        try:
+            for i, x in enumerate(inputs):
+                xs.append(x)
+                runs.append(pool.submit(forward, i, x))
+        except Exception as exc:  # noqa: BLE001 - an earlier head's failure comes first
+            failure = exc
+        heads = [run.result() for run in runs]
+    if failure is not None:
+        raise failure
+    if not heads:
+        raise ValueError("mean_of_heads: no inputs")
+    c = 1.0 / len(heads)
+    total = heads[0][0].data
+    for h, _ in heads[1:]:
+        total = total + h.data
+
+    def backward(g):
+        def run(i: int) -> tuple[_Standin, ...]:
+            # The bits the chain's `scale` and `add` rules hand head i.
+            h, leaves = heads[i]
+            h.accumulate_grad(g * c)
+            _backprop(h)
+            return leaves
+
+        with ThreadPoolExecutor(max_workers=usable_cpus()) as pool:
+            for leaves in pool.map(run, range(len(heads))):
+                for leaf in leaves:
+                    for write in leaf.writes:
+                        leaf.target.accumulate_grad(*write)
+                    leaf.writes.clear()
+
+    return _result(total * c, (*xs, *shared), backward, "mean_of_heads")
 
 
 def grad_check(f: Callable[[], Tensor], inputs: Sequence[Tensor], eps: float = 1e-4) -> float:

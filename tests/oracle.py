@@ -11,15 +11,18 @@
 - The gradient rules that `Tensor.grad_buffer()` replaced (inside
   `old_gradient_rules()`): a first contribution stored as a fresh
   `g + 0.0`, scatters that build a zero-filled dense temporary and add
-  it, and a last pass of `backward` that zero-fills every reachable node
-  no gradient reached.  Tests require the same loss and gradients, bit
-  for bit.
+  it (repeated rows one row at a time), and a last pass of `backward`
+  that zero-fills every reachable node no gradient reached.  The rule is
+  swapped in beneath `Tensor.accumulate_grad`'s signature, so backward
+  rules, and the heads of `tensor.mean_of_heads` on worker threads, write
+  through it as they write through the real one.  Tests require the same
+  loss and gradients, bit for bit.
 - The convolution as the three-node chain `conv1d_valid → relu →
-  max_over_time`, and `gather` scattering every gradient row by row
-  through `np.add.at` (inside `three_node_conv()`): the paths that the
-  fused `tensor.conv_relu_max` and `gather`'s slice-add and flat
-  scatters replaced.  Tests require the same loss, gradients and
-  probabilities, bit for bit.
+  max_over_time`, and `gather` scattering every gradient one row at a
+  time (inside `three_node_conv()`): the paths that the fused
+  `tensor.conv_relu_max` and `gather`'s slice-add and flat scatters
+  replaced.  Tests require the same loss, gradients and probabilities,
+  bit for bit.
 - `unk_replace` drawing one `Rng.random()` per token, which one
   `fill_uniform` draw per instance replaced.  Tests require the same
   tokens and the same generator state afterwards.
@@ -30,6 +33,9 @@
 - `predict_pairs` classifying the instances one after another on the
   calling thread, which `optim.predict_pairs`'s worker pool replaced.
   Tests require the same pairs and probabilities, bit for bit.
+- `model.loss` as one graph built on the calling thread, instance after
+  instance, which `tensor.mean_of_heads`'s worker pool replaced.  Tests
+  require the same loss, gradients and generator state, bit for bit.
 """
 
 from __future__ import annotations
@@ -161,7 +167,15 @@ def build_instances(doc: Document, n_max: int = corpus.DEFAULT_MAX_TOKENS) -> li
     return instances
 
 
-def _accumulate_grad(self: Tensor, g: np.ndarray) -> None:
+def _accumulate_grad(self: Tensor, g, at=..., repeats: bool = False) -> None:
+    if repeats:
+        for row, values in zip(at, g):
+            _accumulate_grad(self, values, row)
+        return
+    if at is not ...:
+        dense = np.zeros_like(self.data)
+        dense[at] += g
+        g = dense
     if g.shape != self.data.shape:
         raise ShapeError(f"gradient of shape {g.shape} for data of shape {self.data.shape}")
     if self.grad is None:
@@ -184,45 +198,6 @@ def _backward(self: Tensor) -> None:
             node.grad = np.zeros_like(node.data)
 
 
-def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start < stop <= a.shape[-1]):
-        raise ShapeError(f"slice_last: [{start}:{stop}] of {a.shape}")
-    def backward(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            acc[..., start:stop] = g
-            a.accumulate_grad(acc)
-    return T._result(a.data[..., start:stop].copy(), (a,), backward, "slice")
-
-
-def max_over_time(feature_map: Tensor) -> Tensor:
-    if feature_map.data.ndim != 2 or feature_map.shape[0] < 1:
-        raise ShapeError(f"max_over_time: needs a nonempty (L, m) map, got {feature_map.shape}")
-    argmax = feature_map.data.argmax(axis=0)
-    cols = np.arange(feature_map.shape[1])
-    def backward(g):
-        if feature_map.requires_grad:
-            acc = np.zeros_like(feature_map.data)
-            acc[argmax, cols] = g
-            feature_map.accumulate_grad(acc)
-    return T._result(feature_map.data[argmax, cols], (feature_map,), backward, "max_over_time")
-
-
-def nll_loss(p: Tensor, gold: int) -> Tensor:
-    if p.data.ndim != 1:
-        raise ShapeError(f"nll_loss: p must be 1-D, got {p.shape}")
-    if not 0 <= gold < p.shape[0]:
-        raise ValueError(f"nll_loss: gold index {gold} outside [0, {p.shape[0]})")
-    pg = float(p.data[gold])
-    clamped = pg < T.LOG_CLAMP
-    def backward(g):
-        if p.requires_grad and not clamped:
-            acc = np.zeros_like(p.data)
-            acc[gold] = -float(g) / pg
-            p.accumulate_grad(acc)
-    return T._result(np.asarray(-np.log(max(pg, T.LOG_CLAMP))), (p,), backward, "nll")
-
-
 @contextlib.contextmanager
 def _replaced(rules):
     saved = [(owner, name, getattr(owner, name)) for owner, name, _ in rules]
@@ -238,9 +213,7 @@ def _replaced(rules):
 def old_gradient_rules():
     """Inside the block gradients are stored by the rules above, in place
     of `grad_buffer()`'s in-place additions."""
-    return _replaced([(Tensor, "accumulate_grad", _accumulate_grad), (Tensor, "backward", _backward),
-                      (T, "slice_last", slice_last), (T, "max_over_time", max_over_time),
-                      (T, "nll_loss", nll_loss)])
+    return _replaced([(Tensor, "accumulate_grad", _accumulate_grad), (Tensor, "backward", _backward)])
 
 
 def conv_relu_max(input: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
@@ -255,14 +228,15 @@ def gather(table: Tensor, indices) -> Tensor:
         raise ShapeError("gather: index out of range")
     def backward(g):
         if table.requires_grad:
-            np.add.at(table.grad_buffer(), idx, g)
+            for row, values in zip(idx, g):
+                table.accumulate_grad(values, row)
     return T._result(table.data[idx], (table,), backward, "gather")
 
 
 def three_node_conv():
     """Inside the block the model and the character CNN run the chain
     `conv1d_valid → relu → max_over_time`, and every gather scatters
-    through `np.add.at`."""
+    row by row."""
     return _replaced([(T, "conv_relu_max", conv_relu_max), (T, "gather", gather)])
 
 
@@ -328,3 +302,28 @@ def predict_pairs(split, params, train_relations):
         predicted[doc.pmid] = evaluation.aggregate_document(doc, instances, labels,
                                                             train_relations)
     return predicted
+
+
+def loss(batch, params, rng, lookup_tokens=None):
+    """`model.loss` as one graph built on the calling thread: each
+    instance's probabilities, NLL and its `add` into the running total in
+    turn, then `scale` by 1/B, with each instance's dropout drawn as it
+    runs."""
+    if not batch:
+        raise ValueError("loss needs a nonempty batch")
+    total = None
+    for inst in batch:
+        if getattr(inst, "label", None) is None:
+            raise ValueError(f"instance {getattr(inst, 'uid', '?')} has no gold label")
+        word_tokens = lookup_tokens.get(inst.uid) if lookup_tokens else None
+        p = model.class_probabilities(inst, params, rng, training=True, word_tokens=word_tokens)
+        nll = T.nll_loss(p, inst.label)
+        total = nll if total is None else T.add(total, nll)
+    mean = T.scale(total, 1.0 / len(batch))
+    if params.hyper.l2 != 0.0:
+        penalty = None
+        for w in params.regularizable():
+            term = T.sum_all(T.mul(w, w))
+            penalty = term if penalty is None else T.add(penalty, term)
+        mean = T.add(mean, T.scale(penalty, params.hyper.l2))
+    return mean

@@ -151,9 +151,16 @@ def test_model_matches_the_chain(variant, l2, unit_scale):
 
 @pytest.mark.parametrize("variant", M.VARIANTS)
 def test_one_conv_node_per_encoding(variant):
+    # The loss graph holds the character encodings, and the head's
+    # convolution sits inside its one `mean_of_heads` node; a
+    # one-instance probability graph holds both.
     params = variant_model(variant, 0.001, unit_scale=False)
-    nodes = T.graph_nodes(M.loss(batch()[:1], params, Rng(9)))
-    ops = [node.op for node in nodes]
-    assert not {"conv1d_valid", "relu", "max_over_time"} & set(ops)
-    forms = len(set(batch()[0].tokens + ["PAD"]))
-    assert ops.count("conv_relu_max") == 1 + (forms if variant == "cnn+cnnchar" else 0)
+    forms = len(set(batch()[0].tokens + ["PAD"])) if variant == "cnn+cnnchar" else 0
+    loss_ops = [node.op for node in T.graph_nodes(M.loss(batch()[:1], params, Rng(9)))]
+    head_ops = [node.op for node in T.graph_nodes(
+        M.class_probabilities(batch()[0], params, Rng(9), training=True))]
+    for ops in (loss_ops, head_ops):
+        assert not {"conv1d_valid", "relu", "max_over_time"} & set(ops)
+    assert loss_ops.count("mean_of_heads") == 1
+    assert loss_ops.count("conv_relu_max") == forms
+    assert head_ops.count("conv_relu_max") == 1 + forms

@@ -175,28 +175,34 @@ class TestSoftmax:
 class TestDropout:
     def test_inference_is_identity_bitwise(self):
         z = t([0.3, -1.2, 5.0])
-        out = dropout(z, 0.5, Rng(1), training=False)
+        out = dropout(z, 0.5, None)
         assert out is z
 
     def test_rho_zero_is_identity_in_both_modes(self):
         z = t([1.0, 2.0])
-        assert dropout(z, 0.0, Rng(1), training=True) is z
-        assert dropout(z, 0.0, Rng(1), training=False) is z
+        assert dropout(z, 0.0, Rng(1).fill_uniform((2,), 0.0, 1.0)) is z
+        assert dropout(z, 0.0, None) is z
 
     def test_inverted_scaling_preserves_expectation(self):
         z = t(np.ones(100_000))
-        out = dropout(z, 0.5, Rng(33), training=True)
+        out = dropout(z, 0.5, Rng(33).fill_uniform((100_000,), 0.0, 1.0))
         assert abs(out.data.mean() - 1.0) < 0.01
 
     def test_rejects_rho_one(self):
         with pytest.raises(ValueError):
-            dropout(t([1.0]), 1.0, Rng(1), training=True)
+            dropout(t([1.0]), 1.0, np.zeros(1))
 
     def test_same_seed_same_mask(self):
         z = t(np.ones(64))
-        a = dropout(z, 0.25, Rng(5), training=True)
-        b = dropout(z, 0.25, Rng(5), training=True)
+        a = dropout(z, 0.25, Rng(5).fill_uniform((64,), 0.0, 1.0))
+        b = dropout(z, 0.25, Rng(5).fill_uniform((64,), 0.0, 1.0))
         np.testing.assert_array_equal(a.data, b.data)
+
+    def test_component_dropped_below_rho(self):
+        out = dropout(t([2.0, 2.0, 2.0, 2.0]), 0.5, np.array([0.0, 0.49, 0.5, 0.99]))
+        assert out.data.tolist() == [0.0, 0.0, 4.0, 4.0]
+        with pytest.raises(ShapeError):
+            dropout(t([1.0, 2.0]), 0.5, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
