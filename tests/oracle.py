@@ -304,6 +304,10 @@ def predict_pairs(split, params, train_relations):
     return predicted
 
 
+# The serial per-instance head: one instance's probability vector.
+class_probabilities = model.class_probabilities
+
+
 def loss(batch, params, rng, lookup_tokens=None):
     """`model.loss` as one graph built on the calling thread: each
     instance's probabilities, NLL and its `add` into the running total in
@@ -316,7 +320,7 @@ def loss(batch, params, rng, lookup_tokens=None):
         if getattr(inst, "label", None) is None:
             raise ValueError(f"instance {getattr(inst, 'uid', '?')} has no gold label")
         word_tokens = lookup_tokens.get(inst.uid) if lookup_tokens else None
-        p = model.class_probabilities(inst, params, rng, training=True, word_tokens=word_tokens)
+        p = class_probabilities(inst, params, rng, training=True, word_tokens=word_tokens)
         nll = T.nll_loss(p, inst.label)
         total = nll if total is None else T.add(total, nll)
     mean = T.scale(total, 1.0 / len(batch))
