@@ -19,6 +19,7 @@ model/corpus vocabulary mismatch.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import logging
 import os
@@ -440,6 +441,20 @@ def _op_checks(rng: Rng) -> float:
 
     weights = T.Tensor(rng.fill_uniform((4,), -1, 1))
     check(lambda: T.sum_all(T.mul(T.conv_relu_max(inp, filt, bias), weights)), [inp, filt, bias])
+
+    # The batched head: each row's tap projections, a table's shift sum,
+    # two instances' maps (n=4, L=3) and the batched output layer.
+    def taps():
+        return T.tap_projections(inp, filt, (slice(0, 1), slice(1, 3)))
+    sums = T.Tensor(rng.fill_uniform((5, 4), -1, 1))
+    check(lambda: T.sum_all(T.mul(T.shift_sum(taps()), sums)), [inp, filt])
+    table = T.Tensor(rng.fill_uniform((6, 4), -1, 1), requires_grad=True)
+    keys = np.array([[0, 5, 2, 2], [1, 3, 4, 0]])
+    pooled = T.Tensor(rng.fill_uniform((2, 4), -1, 1))
+    check(lambda: T.sum_all(T.mul(T.tap_sum_relu_max(taps(), keys, [(table, np.array([0, 3]))],
+                                                     bias), pooled)), [inp, filt, table, bias])
+    rows = T.Tensor(rng.fill_uniform((3, 5), -1, 1), requires_grad=True)
+    check(lambda: T.nll_loss(T.softmax(T.linear(rows, w, logits)), [2, 0, 1]), [rows, w, logits])
     return worst
 
 
@@ -503,9 +518,39 @@ _COMMANDS = {
 }
 
 
+def pin_blas_threads() -> bool:
+    """Set the OpenBLAS that numpy loaded to one thread, through its own
+    setter; False, with one log line, when none is found.
+
+    OpenBLAS splits some products between threads and rounds them
+    differently with another thread count, so without the pin the bits of
+    a model file would depend on the machine."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        libs = []
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            setter = getattr(handle, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return True
+    log.warning("no OpenBLAS thread setter found; BLAS threads left as they are, "
+                "so outputs may depend on the BLAS thread count")
+    return False
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("CDREX_LOGLEVEL", "WARNING"),
                         format="%(levelname)s %(name)s: %(message)s")
+    pin_blas_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -8,8 +8,8 @@ where the two position components are indexed by the signed distances to
 the entity tokens, and the character component comes from either a small
 convolutional encoder or a bidirectional LSTM over the token's characters.
 `encode_chars` is the one character-encoding entry point for both: it
-encodes a tuple of distinct forms, an instance's in training and a whole
-split's at inference.
+encodes a tuple of distinct forms, a minibatch's in training and a whole
+split's at inference (`char_rows`).
 
 Word-embedding lookup is lowercased; character input keeps its case, so
 capitalization signal survives in the character features.  Padding rows
@@ -103,9 +103,7 @@ def position_table(name: str, n: int, rng: Rng, dim: int = POS_DIM) -> Embedding
 class WordRows(dict):
     """Word-table row of each form, looked up on the form's first use:
     reserved tokens hit their own rows directly; everything else is
-    lowercased first, falling back to UNK.  The workers of
-    `optim.predict_pairs` fill it concurrently; two that miss the same
-    form store the same row."""
+    lowercased first, falling back to UNK."""
 
     def __init__(self, index: dict):
         super().__init__()
@@ -266,6 +264,24 @@ def char_rows(instances, tables: EmbeddingSet,
     return encode_chars(forms, tables.char, params), {tok: j for j, tok in enumerate(forms)}
 
 
+def padded_tokens(instance, n: int,
+                  word_tokens: list[str] | None = None) -> tuple[list[str], list[str]]:
+    """The instance's tokens and its word-lookup tokens (`word_tokens`, by
+    default the same), each padded with PAD to n rows; ValueError when the
+    instance has no tokens or more than n, an entity index is out of
+    range, or the lookup tokens do not align."""
+    real = list(instance.tokens)
+    if not 0 < len(real) <= n:
+        raise ValueError(f"instance has {len(real)} tokens, expected 1..{n}")
+    i1, i2 = instance.i1, instance.i2
+    if not (0 <= i1 < len(real) and 0 <= i2 < len(real)):
+        raise ValueError(f"entity indices ({i1}, {i2}) out of range for {len(real)} tokens")
+    lookup = list(word_tokens) if word_tokens is not None else real
+    if len(lookup) != len(real):
+        raise ValueError("word-lookup tokens must align with the instance tokens")
+    return _padded(real, n), _padded(lookup, n)
+
+
 def build_input_matrix(instance, tables: EmbeddingSet,
                        char_params: CharEncoderParams | None = None,
                        word_tokens: list[str] | None = None,
@@ -283,24 +299,16 @@ def build_input_matrix(instance, tables: EmbeddingSet,
     distinct forms are encoded, each once, for all the rows that use it.
     """
     n = tables.n
-    real = list(instance.tokens)
-    if not 0 < len(real) <= n:
-        raise ValueError(f"instance has {len(real)} tokens, expected 1..{n}")
+    real, lookup = padded_tokens(instance, n, word_tokens)
     i1, i2 = instance.i1, instance.i2
-    if not (0 <= i1 < len(real) and 0 <= i2 < len(real)):
-        raise ValueError(f"entity indices ({i1}, {i2}) out of range for {len(real)} tokens")
-    lookup = list(word_tokens) if word_tokens is not None else real
-    if len(lookup) != len(real):
-        raise ValueError("word-lookup tokens must align with the instance tokens")
-
-    parts = [T.gather(tables.word.weights, [tables.word_rows[tok] for tok in _padded(lookup, n)]),
+    parts = [T.gather(tables.word.weights, [tables.word_rows[tok] for tok in lookup]),
              T.gather(tables.pos1.weights, [tables.pos1.index[i - i1] for i in range(n)]),
              T.gather(tables.pos2.weights, [tables.pos2.index[i - i2] for i in range(n)])]
     if char_params is not None:
         if tables.char is None:
             raise ValueError("character encoder given but no character table")
         encoded, slot = chars or char_rows([instance], tables, char_params)
-        parts.append(T.gather(encoded, [slot[tok] for tok in _padded(real, n)]))
+        parts.append(T.gather(encoded, [slot[tok] for tok in real]))
 
     out = T.concat(parts)
     expected = tables.word.dim + tables.pos1.dim + tables.pos2.dim + (

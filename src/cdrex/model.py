@@ -164,61 +164,156 @@ def init_model(vocab, variant: str, rng: Rng, *, m: int = 100, rho: float = 0.5,
 
 # ---------------------------------------------------------------------------
 # Forward pass and loss
+#
+# The convolution is linear in the concatenated input row, so window j of
+# an instance splits into a sum of per-block terms (Zeng et al. 2014):
+#
+#     bias + sum_h P[h, key(j+h)] + Q1[j - i1 + n - 1] + Q2[j - i2 + n - 1]
+#
+# A row's key is its (word row, character row) pair.  P holds each
+# distinct key's projection by each filter tap, one product for all the
+# keys of a minibatch or of a document (`tensor.tap_projections`), and Q1
+# and Q2 are the valid convolutions of the position tables, of which an
+# instance reads a contiguous run (`tensor.shift_sum`).
 
 
-def head(mat: Tensor, filters: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, rho: float,
-         uniforms: np.ndarray | None) -> Tensor:
-    """Probability vector over CLASS_ORDER from an input matrix: the
-    convolution's max over time, dropout with `uniforms` (None at
-    inference), and the softmax of `w1 @ z + b1`."""
-    z = T.conv_relu_max(mat, filters, bias)
-    z = T.dropout(z, rho, uniforms)
-    return T.softmax(T.add(T.matmul(w1, z), b1))
+@dataclass
+class Projections:
+    """The terms of the convolution maps that the forwards of many
+    instances share, valid while the parameters keep their values."""
+
+    chars: tuple[Tensor, dict[str, int]] | None  # character encodings and each form's row
+    positions: tuple[tuple[Tensor, int], ...]    # Q1, Q2 and the table row each starts at
+    codes: np.ndarray | None = None              # the projected keys' codes, ascending
+    taps: Tensor | None = None                   # (k, K, m): row r projects codes[r]
 
 
-def _head_tensors(params: ModelParams) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    return params.conv_filters, params.conv_bias, params.w1, params.b1
-
-
-def _dropout_uniforms(params: ModelParams, rng: Rng, count: int) -> list | np.ndarray:
+def _dropout_uniforms(params: ModelParams, rng: Rng, count: int) -> np.ndarray | None:
     """The dropout uniforms of `count` instances, one row of m each, drawn
     from `rng` in one draw that equals `count` separate ones; at rho 0
-    nothing is drawn and every row is None."""
+    nothing is drawn."""
     if params.hyper.rho == 0.0:
-        return [None] * count
+        return None
     return rng.fill_uniform((count, params.conv_filters.shape[0]), 0.0, 1.0)
 
 
-def class_probabilities(instance, params: ModelParams, rng: Rng, training: bool,
-                        word_tokens: list[str] | None = None,
-                        chars: tuple[Tensor, dict[str, int]] | None = None) -> Tensor:
-    """Probability vector over CLASS_ORDER, with the graph attached unless
-    run under `tensor.no_grad`."""
-    mat = encoders.build_input_matrix(instance, params.tables, params.char_params,
-                                      word_tokens=word_tokens, chars=chars)
-    uniforms = _dropout_uniforms(params, rng, 1)[0] if training else None
-    return head(mat, *_head_tensors(params), params.hyper.rho, uniforms)
+def _position_terms(params: ModelParams, instances) -> tuple[tuple[Tensor, int], ...]:
+    """Per position table, the valid convolution of the rows that the
+    instances' windows read (all of them for a whole split, n for one
+    instance) with its filter columns, and the table row it starts at."""
+    n, dw, dp = params.hyper.n, params.tables.word.dim, params.tables.pos1.dim
+    terms = []
+    for name, table, lo in (("i1", params.tables.pos1, dw), ("i2", params.tables.pos2, dw + dp)):
+        starts = [n - 1 - getattr(inst, name) for inst in instances]
+        rows = T.gather(table.weights, range(min(starts), max(starts) + n))
+        terms.append((T.shift_sum(T.tap_projections(rows, params.conv_filters,
+                                                    (slice(lo, lo + dp),))), min(starts)))
+    return tuple(terms)
 
 
-def inference_chars(instances, params: ModelParams) -> tuple[Tensor, dict[str, int]] | None:
-    """`chars` for `forward`: all the instances' forms encoded at once,
-    without a graph; None when there is nothing to encode."""
-    if params.char_params is None or not instances:
-        return None
+def _key_codes(instances, params: ModelParams, chars, lookup_tokens=None,
+               labelled: bool = False) -> np.ndarray:
+    """(B, n) codes of the rows' keys: word row * C + character row, C the
+    number of character rows (1 without a character encoder).  Instances
+    are checked in order, for a gold label too when `labelled`."""
+    n = params.hyper.n
+    codes = np.empty((len(instances), n), dtype=np.intp)
+    for b, inst in enumerate(instances):
+        if labelled and getattr(inst, "label", None) is None:
+            raise ValueError(f"instance {getattr(inst, 'uid', '?')} has no gold label")
+        word_tokens = lookup_tokens.get(inst.uid) if lookup_tokens else None
+        real, lookup = encoders.padded_tokens(inst, n, word_tokens)
+        codes[b] = [params.tables.word_rows[tok] for tok in lookup]
+        if chars is not None:
+            codes[b] *= len(chars[1])
+            codes[b] += [chars[1][tok] for tok in real]
+    return codes
+
+
+def _key_projections(codes: np.ndarray, params: ModelParams, chars) -> tuple[np.ndarray, Tensor]:
+    """The distinct codes, ascending, and their (k, K, m) tap projections:
+    the word rows, then the character rows, meet their filter columns."""
+    unique = np.unique(codes)
+    dw, d = params.tables.word.dim, params.input_dim
+    rows = T.gather(params.tables.word.weights, unique // (len(chars[1]) if chars else 1))
+    columns = (slice(0, dw),)
+    if chars is not None:
+        rows = T.concat([rows, T.gather(chars[0], unique % len(chars[1]))])
+        columns += (slice(d - chars[0].shape[1], d),)
+    return unique, T.tap_projections(rows, params.conv_filters, columns)
+
+
+def _pooled(taps: Tensor, keys: np.ndarray, positions, instances, params: ModelParams) -> Tensor:
+    """(B, m): each instance's map, its ReLU and its max over time."""
+    last = params.hyper.n - 1
+    shifted = [(term, np.array([last - getattr(inst, name) - first for inst in instances]))
+               for name, (term, first) in zip(("i1", "i2"), positions)]
+    return T.tap_sum_relu_max(taps, keys, shifted, params.conv_bias)
+
+
+def _probabilities(z: Tensor, params: ModelParams, uniforms: np.ndarray | None) -> Tensor:
+    """(B, t) probabilities over CLASS_ORDER from the pooled features."""
+    z = T.dropout(z, params.hyper.rho, uniforms)
+    return T.softmax(T.linear(z, params.w1, params.b1))
+
+
+def shared_terms(instances, params: ModelParams) -> Projections:
+    """Without a graph, the terms that the instances' forwards share and
+    that do not depend on their keys: all their forms encoded in one
+    `encoders.char_rows` call, and the position terms.  Each instance is
+    checked first (`encoders.padded_tokens`), since the position terms
+    index the tables by its entity positions."""
+    for inst in instances:
+        encoders.padded_tokens(inst, params.hyper.n)
     with T.no_grad():
-        return encoders.char_rows(instances, params.tables, params.char_params)
+        chars = None
+        if params.char_params is not None:
+            chars = encoders.char_rows(instances, params.tables, params.char_params)
+        return Projections(chars, _position_terms(params, instances))
+
+
+def projections(instances, params: ModelParams, shared: Projections | None = None) -> Projections:
+    """`shared` (by default `shared_terms(instances, params)`, which it must
+    cover) with, computed without a graph, the tap projections of the
+    instances' distinct keys, for `forward` to share.
+
+    The keys are projected in one matrix product per tap, and OpenBLAS may
+    round a row of a product differently with a different row count, so a
+    key's bits may depend on which other keys are projected with it: the
+    same instances give the same bits, other company may change the last
+    ones.  The position terms likewise depend on the rows they cover."""
+    shared = shared or shared_terms(instances, params)
+    with T.no_grad():
+        codes, taps = _key_projections(_key_codes(instances, params, shared.chars),
+                                       params, shared.chars)
+    return Projections(shared.chars, shared.positions, codes, taps)
 
 
 def forward(instance, params: ModelParams, rng: Rng, training: bool = False,
-            chars: tuple[Tensor, dict[str, int]] | None = None) -> Prediction:
+            shared: Projections | None = None) -> Prediction:
     """Class probabilities and label for one instance, computed without a
-    graph.  `chars` from `inference_chars` shares one character encoding
-    of each form across the calls that use the same parameter values."""
+    graph, with dropout only when `training`.
+
+    The instance's map reads its keys' rows of `shared` (from
+    `projections`, for instances that include this one), or of
+    projections of its own keys; the two agree within a few units in the
+    last place (see `projections`).  ValueError when `shared` lacks one
+    of the instance's keys."""
     with T.no_grad():
-        p = class_probabilities(instance, params, rng, training, chars=chars)
-    return Prediction(uid=getattr(instance, "uid", ""),
-                      probabilities=p.data.copy(),
-                      label=int(np.argmax(p.data)))
+        shared = shared or projections([instance], params)
+        try:
+            codes = _key_codes([instance], params, shared.chars)
+            keys = np.minimum(np.searchsorted(shared.codes, codes), len(shared.codes) - 1)
+            known = np.array_equal(shared.codes[keys], codes)
+        except KeyError:  # a form without a character encoding
+            known = False
+        if not known:
+            raise ValueError(f"instance {getattr(instance, 'uid', '?')} has rows whose keys "
+                             "the shared projections lack")
+        z = _pooled(shared.taps, keys, shared.positions, [instance], params)
+        uniforms = _dropout_uniforms(params, rng, 1) if training else None
+        p = _probabilities(z, params, uniforms).data[0].copy()
+    return Prediction(uid=getattr(instance, "uid", ""), probabilities=p, label=int(np.argmax(p)))
 
 
 def loss(batch, params: ModelParams, rng: Rng,
@@ -226,32 +321,27 @@ def loss(batch, params: ModelParams, rng: Rng,
     """Mean per-instance negative log likelihood over the batch, plus the
     L2 penalty added once (not per instance).
 
-    The calling thread builds each instance's input matrix, in order (the
-    word and position gathers and the character encoder), and the rest of
-    each instance, `head` and its NLL, runs forward and backward on a
-    worker pool inside one `tensor.mean_of_heads` node, whose value and
-    gradients are those of the serial per-instance graph bit for bit.
-    The dropout uniforms of the whole batch are drawn first, in one draw
-    that leaves `rng` as one draw per instance does.  The error of the
-    earliest failing instance is raised."""
+    One graph serves the whole batch.  The batch's forms are encoded once
+    (`encoders.char_rows`); each distinct (word row, character row) key is
+    projected by each filter tap in one product, and each position table
+    once; every instance's map, ReLU and max over time then come from one
+    `tensor.tap_sum_relu_max` node, and dropout, the output layer, the
+    softmax and the NLL are one node each over the (B, m) features.  The
+    dropout uniforms of the batch are drawn in one draw that leaves `rng`
+    as one draw per instance does.  The instances are checked in order,
+    and the first that has no gold label or does not fit raises
+    ValueError."""
     if not batch:
         raise ValueError("loss needs a nonempty batch")
-    rho = params.hyper.rho
     uniforms = _dropout_uniforms(params, rng, len(batch))
-
-    def matrices():
-        for inst in batch:
-            if getattr(inst, "label", None) is None:
-                raise ValueError(f"instance {getattr(inst, 'uid', '?')} has no gold label")
-            word_tokens = lookup_tokens.get(inst.uid) if lookup_tokens else None
-            yield encoders.build_input_matrix(inst, params.tables, params.char_params,
-                                              word_tokens=word_tokens)
-
-    def nll(i: int, mat: Tensor, shared: tuple[Tensor, ...]) -> Tensor:
-        p = head(mat, *shared, rho, uniforms[i])
-        return T.nll_loss(p, batch[i].label)
-
-    mean = T.mean_of_heads(matrices(), _head_tensors(params), nll)
+    chars = None
+    if params.char_params is not None:
+        chars = encoders.char_rows(batch, params.tables, params.char_params)
+    codes = _key_codes(batch, params, chars, lookup_tokens, labelled=True)
+    unique, taps = _key_projections(codes, params, chars)
+    z = _pooled(taps, np.searchsorted(unique, codes), _position_terms(params, batch), batch,
+                params)
+    mean = T.nll_loss(_probabilities(z, params, uniforms), [inst.label for inst in batch])
     if params.hyper.l2 != 0.0:
         penalty = None
         for w in params.regularizable():

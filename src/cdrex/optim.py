@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,7 +27,7 @@ from .corpus import DEFAULT_MAX_TOKENS, Document, RelationInstance, Vocab, build
 from .encoders import unk_replace
 from .model import ModelParams
 from .rng import Rng
-from .tensor import NumericsError, Tensor, usable_cpus
+from .tensor import NumericsError, Tensor
 
 log = logging.getLogger(__name__)
 
@@ -194,26 +193,23 @@ def predict_pairs(split: DataSplit, params: ModelParams,
     classification plus the training co-occurrence rule.  An instance
     that `fit_instances` drops predicts no pair, as one labelled 0.
 
-    The instances are classified on a thread pool created for this call,
-    one worker per usable CPU (`usable_cpus`): each forward is independent
-    and graph-free, and numpy releases the interpreter lock inside its
-    matrix products.  Each instance runs the same single-threaded
-    arithmetic, so the labels do not depend on the number of workers.
-    Labels are read in instance order, so a failure raises the error of
-    the earliest failing instance, and every worker has finished when the
-    call returns or raises."""
+    The split's forms are encoded in one call, and the position terms
+    computed once (`model.shared_terms`); each document's distinct keys
+    are then projected together (`model.projections`), so memory grows
+    with a document, not with the split, and `model.forward` classifies
+    each instance from them, one after another."""
     rng = Rng(0)  # inference is deterministic; the stream is never used
     fitted = fit_instances(split.instances, params.hyper.n)
-    chars = model.inference_chars(fitted, params)  # valid for this call's parameters only
-
-    def label(inst: RelationInstance) -> int:
-        return model.forward(inst, params, rng, training=False, chars=chars).label
-
-    with ThreadPoolExecutor(max_workers=usable_cpus()) as pool:
-        labels = dict(zip([inst.uid for inst in fitted], pool.map(label, fitted)))
     by_doc: dict[str, list[RelationInstance]] = {}
     for inst in fitted:
         by_doc.setdefault(inst.pmid, []).append(inst)
+    labels = {}
+    if fitted:
+        shared = model.shared_terms(fitted, params)  # valid for this call's parameters only
+        for instances in by_doc.values():
+            projections = model.projections(instances, params, shared)
+            for inst in instances:
+                labels[inst.uid] = model.forward(inst, params, rng, shared=projections).label
     predicted = {}
     for doc in split.documents:
         instances = by_doc.get(doc.pmid, [])

@@ -11,51 +11,27 @@ gradient array is created, zero-filled on a tensor's first touch, and
 `Tensor.accumulate_grad` is the one place a backward rule writes into it:
 it adds in place, a whole array or a few rows or entries as a scatter.
 The one exception is `_accumulate_in_order`, the LSTM's batched form of
-many whole-array writes, which never runs in a head (below).  A tensor
-that no gradient reaches keeps `grad` None, and readers (Nadam,
-`grad_check`) see zeros through the same call.  No gradient buffer ever
-holds -0.0:
-each starts as +0.0 zeros, or ones at the root, and only additions change
-it, and in round-to-nearest `x + y` is -0.0 only when both operands are.
-So adding a few values into a slice in place gives the bits of adding a
-dense array that holds +0.0 everywhere else, and a first contribution
-`0.0 + g` has the bits of `g + 0.0` (-0.0 becomes +0.0; NaN and inf pass).
+many whole-array writes.  A tensor that no gradient reaches keeps `grad`
+None, and readers (Nadam, `grad_check`) see zeros through the same call.
+No gradient buffer ever holds -0.0: each starts as +0.0 zeros, or ones
+at the root, and only additions change it, and in round-to-nearest
+`x + y` is -0.0 only when both operands are.  So adding a few values into
+a slice in place gives the bits of adding a dense array that holds +0.0
+everywhere else, and a first contribution `0.0 + g` has the bits of
+`g + 0.0` (-0.0 becomes +0.0; NaN and inf pass).
 
 backward() must run before any operand's data is mutated in place
 (backward rules read operand data live).  There is no global tape: the
 graph lives in the result tensors themselves, so independent graphs
 never share state.
 
-A graph is built and walked on one thread, except inside
-`mean_of_heads`, the minibatch mean of one scalar head per instance:
-each head's graph is built on a worker thread of a pool made for the
-forward pass, and walked backward on a worker of a pool made for the
-backward pass, never by two threads at once.  A head's leaves are
-stand-ins for its input and for the tensors all heads share, with the
-same data.  Its input's gradient goes straight into that input's buffer,
-which no other head touches; its writes into the shared tensors are
-recorded on the worker, and the caller applies each head's records in
-instance order after the ones before.  Every such write goes through
-`accumulate_grad`, whichever rule makes it (the test oracle swaps in
-others), so no two threads add into one buffer.  Each shared tensor thus
-takes the same additions, in the same order, as in the serial chain
-`scale(add(add(h_0, h_1), ...), 1/B)`: there, the backward pass reaches
-head 0, then head 1's, and so on, each head's subgraph, input included,
-before the next head's, and the input subgraphs share no node.  Each
-head is seeded with `0.0 + g/B`, the bits that the chain's `scale` and
-`add` rules hand it, and the value is the chain's left fold, so the loss
-and every gradient keep their bits.  After the node's backward rule, the
-pass goes on into the inputs' subgraphs in instance order, as the
-chain's does.
-
 Inference builds no graph: inside `with no_grad():` every operation
 returns a plain result that records no operands and no backward rule, so
 nothing stays reachable once the result is read.  Values are the same
-arithmetic as with the graph, bit for bit.  The switch is per thread:
-inference may run on worker threads (see `optim.predict_pairs`), and one
-thread's `no_grad` never turns graph recording off in another; the heads
-of `mean_of_heads` run in their caller's mode.  The thread's previous
-state comes back when the block exits, also on an exception.
+arithmetic as with the graph, bit for bit.  The switch is per thread, so
+one thread's `no_grad` never turns graph recording off in another, and
+the thread's previous state comes back when the block exits, also on an
+exception.
 
 `conv_relu_max` runs a convolution, its ReLU and the max over time as
 one node, in place of the chain `conv1d_valid → relu → max_over_time`
@@ -77,6 +53,28 @@ over all m columns with nonzero terms, so it stays the chain's dense
 product per tap, over a map that holds `gz` where G holds its values;
 taking it from the argmax rows alone reorders that sum and changes the
 last bits.
+
+The model's own convolution runs decomposed (see `model.loss`): the
+conv is linear in the concatenated input row, so `tap_projections`
+projects each distinct row of a block (a word row with its character
+row, or a position table's row) by every filter tap in one matrix
+product, `shift_sum` adds a position table's projections along the taps
+into its valid convolution, and `tap_sum_relu_max` builds each
+instance's map from gathered rows of those, then takes its ReLU and max
+over time as `conv_relu_max` does.  A window's value is thus `bias`, then
+the k tap rows in tap order, then the position terms, where the dense
+conv summed over the whole 350-wide row in one product per tap; the
+sums differ from it in the last bits, within the tolerances that
+`tests/test_tolerance_oracle.py` states.  The backward scatters each
+live column's gradient into the rows its argmax window read, and returns
+to the embedding rows and filter slices through the transposed products
+of `tap_projections`, so no dense per-instance input gradient is formed.
+OpenBLAS rounds a row of `A @ B` differently depending on how many rows
+A has (1,050 of 2,000 products differed between a full and a row-subset
+call), so a row's projection may change in its last bits with the other
+rows projected beside it: a minibatch's and a document's projections of
+one key need not agree bit for bit, while the same rows always give the
+same bits.
 
 `lstm_final_states` runs one LSTM direction over many sequences as a
 single node with a hand-written backward through time.  Its values and
@@ -104,16 +102,16 @@ from __future__ import annotations
 
 import contextlib
 import logging
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 log = logging.getLogger(__name__)
 
 LOG_CLAMP = 1e-12
+# Entries of one block of a `tap_sum_relu_max` map: 256 KiB of float64.
+MAP_BLOCK = 1 << 15
 
 _debug_numerics = False
 
@@ -527,6 +525,151 @@ def conv_relu_max(input: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
     return _result(value, (input, filters, bias), backward, "conv_relu_max")
 
 
+def tap_projections(x: Tensor, filters: Tensor, columns: Sequence[slice]) -> Tensor:
+    """Every row of x projected by every filter tap, shape (k, R, m).
+
+    x is (R, c) and filters (m, k, d); the c columns of x meet the filter
+    columns `columns`, joined in order.  Entry (h, r, f) is
+    dot(x[r], filters[f, h, cols]), one (R, c) @ (c, m) product per tap,
+    and the gradients are the transposed products per tap; see the module
+    docstring for what this means for the bits.
+    """
+    if x.data.ndim != 2 or filters.data.ndim != 3:
+        raise ShapeError("tap_projections: expects x (R,c) and filters (m,k,d)")
+    m, k, _ = filters.shape
+    w = np.concatenate([filters.data[:, :, cols] for cols in columns], axis=2)
+    if w.shape[2] != x.shape[1]:
+        raise ShapeError(f"tap_projections: {w.shape[2]} filter columns for x of width {x.shape[1]}")
+    out = np.empty((k, x.shape[0], m))
+    for h in range(k):
+        np.matmul(x.data, w[:, h].T, out=out[h])
+
+    def backward(g):
+        if x.requires_grad:
+            dx = g[0] @ w[:, 0]
+            for h in range(1, k):
+                dx += g[h] @ w[:, h]
+            x.accumulate_grad(dx)
+        if filters.requires_grad:
+            dw = np.stack([g[h].T @ x.data for h in range(k)], axis=1)
+            lo = 0
+            for cols in columns:
+                width = cols.stop - cols.start
+                filters.accumulate_grad(dw[:, :, lo:lo + width], (slice(None), slice(None), cols))
+                lo += width
+
+    return _result(out, (x, filters), backward, "tap_projections")
+
+
+def shift_sum(taps: Tensor) -> Tensor:
+    """The valid convolution of a table from its tap projections (k, R, m):
+    row s of the (R-k+1, m) result is the sum over h of taps[h, s + h],
+    added in tap order."""
+    if taps.data.ndim != 3 or taps.shape[1] < taps.shape[0]:
+        raise ShapeError(f"shift_sum: needs (k, R, m) taps with R >= k, got {taps.shape}")
+    k, rows = taps.shape[0], taps.shape[1] - taps.shape[0] + 1
+    out = taps.data[0, :rows].copy()
+    for h in range(1, k):
+        out += taps.data[h, h:h + rows]
+
+    def backward(g):
+        if taps.requires_grad:
+            for h in range(k):
+                taps.accumulate_grad(g, (h, slice(h, h + rows)))
+
+    return _result(out, (taps,), backward, "shift_sum")
+
+
+def tap_sum_relu_max(taps: Tensor, keys: np.ndarray, shifted: Sequence[tuple[Tensor, np.ndarray]],
+                     bias: Tensor) -> Tensor:
+    """Max over time of the ReLU of B convolution maps built from shared
+    projections, shape (B, m).
+
+    taps is (k, K, m) and keys (B, n): row r of instance b reads row
+    keys[b, r] of each tap.  Each (table, starts) of `shifted` pairs an
+    (S, m) table with one start row per instance.  Window j of instance b
+    is
+
+        bias + sum_h taps[h, keys[b, j+h]] + sum_t table_t[starts_t[b] + j]
+
+    added in that order, for j < L = n - k + 1.  Each instance's map is
+    computed on its own, so its bits do not depend on the others.  As in
+    `conv_relu_max`, column f of instance b passes its gradient only
+    through its first maximal window, and not at all where the value is
+    0: to the taps rows of that window and the one row of each table.
+    """
+    keys = np.asarray(keys, dtype=np.intp)
+    if taps.data.ndim != 3 or keys.ndim != 2 or bias.shape != (taps.shape[2],):
+        raise ShapeError("tap_sum_relu_max: expects taps (k,K,m), keys (B,n), bias (m,)")
+    (batch, n), (k, count, m) = keys.shape, taps.shape
+    length = n - k + 1
+    if length < 1 or (keys.size and (keys.min() < 0 or keys.max() >= count)):
+        raise ShapeError(f"tap_sum_relu_max: keys {keys.shape} do not fit taps {taps.shape}")
+    starts = [np.asarray(first, dtype=np.intp) for _, first in shifted]
+    for (table, _), first in zip(shifted, starts):
+        if table.shape[1:] != (m,) or first.shape != (batch,) or \
+                (batch and (first.min() < 0 or first.max() + length > table.shape[0])):
+            raise ShapeError(f"tap_sum_relu_max: table {table.shape} does not fit starts {first}")
+
+    # Each instance's map is built in blocks of about MAP_BLOCK entries,
+    # which stay in cache while the k + 2 terms are added into them.
+    step = max(1, MAP_BLOCK // m)
+    fm, part = np.empty((length, m)), np.empty((min(step, length), m))
+    value = np.empty((batch, m))
+    argmax = np.empty((batch, m), dtype=np.intp) if _grad_mode.enabled else None
+    for b in range(batch):
+        for lo in range(0, length, step):
+            hi = min(lo + step, length)
+            out, tmp = fm[lo:hi], part[:hi - lo]
+            out[:] = bias.data
+            for h in range(k):
+                out += np.take(taps.data[h], keys[b, lo + h:hi + h], axis=0, out=tmp, mode="clip")
+            for (table, _), first in zip(shifted, starts):
+                out += table.data[first[b] + lo:first[b] + hi]
+        np.maximum(fm, 0.0, out=fm)
+        if argmax is None:  # no backward: the maxima alone
+            fm.max(axis=0, out=value[b])
+        else:
+            argmax[b] = fm.argmax(axis=0)
+            value[b] = fm[argmax[b], np.arange(m)]
+
+    def backward(g):
+        gz = g * (value > 0.0)
+        if bias.requires_grad:
+            bias.accumulate_grad(gz.sum(axis=0))
+        b, f = np.nonzero(gz)  # columns with no gradient would add only zeros
+        live, window = gz[b, f], argmax[b, f]
+        if taps.requires_grad:
+            # Entry (h, keys[b, window + h], f) of each live (b, f), summed
+            # over the (b, f) that share one, in (b, f) order.
+            entries = np.concatenate([(h * count + keys[b, window + h]) * m + f for h in range(k)])
+            dense = np.bincount(entries, np.tile(live, k), taps.data.size)
+            taps.accumulate_grad(dense.reshape(taps.shape))
+        for (table, _), first in zip(shifted, starts):
+            if table.requires_grad:
+                entries = (first[b] + window) * m + f
+                table.accumulate_grad(np.bincount(entries, live, table.data.size).reshape(table.shape))
+
+    return _result(value, (taps, *(table for table, _ in shifted), bias), backward,
+                   "tap_sum_relu_max")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w.T + b for a batch of rows x (B, m), w (t, m) and b (t,)."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1] or b.shape != (w.shape[0],):
+        raise ShapeError(f"linear: x {x.shape}, w {w.shape}, b {b.shape}")
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(g @ w.data)
+        if w.requires_grad:
+            w.accumulate_grad(g.T @ x.data)
+        if b.requires_grad:
+            b.accumulate_grad(g.sum(axis=0))
+
+    return _result(x.data @ w.data.T + b.data, (x, w, b), backward, "linear")
+
+
 def lstm_final_states(x: Tensor, lengths: Sequence[int], wx: Tensor, wh: Tensor, b: Tensor,
                       reverse: bool) -> Tensor:
     """Final hidden states of one LSTM direction over W sequences, shape (W, u).
@@ -640,8 +783,7 @@ def _accumulate_in_order(t: Tensor, seq: np.ndarray, fill, chunk: int = 64) -> N
     rows in sequence (a test pins this), so a stack that starts from the
     current gradient gives the same bits.  One reused buffer holds the
     stack: fresh megabyte temporaries cost several times the arithmetic.
-    This is the one backward helper that writes a buffer itself; the
-    leaves of a `mean_of_heads` head refuse it."""
+    This is the one backward helper that writes a buffer itself."""
     acc = t.grad_buffer()
     buf = np.empty((min(chunk, len(seq)) + 1,) + t.shape)
     for lo in range(0, len(seq), chunk):
@@ -666,17 +808,18 @@ def max_over_time(feature_map: Tensor) -> Tensor:
 
 
 def softmax(logits: Tensor) -> Tensor:
-    """Stable exp-normalize of a 1-D logit vector (length >= 2)."""
-    if logits.data.ndim != 1 or logits.shape[0] < 2:
-        raise ShapeError(f"softmax: needs a 1-D vector of length >= 2, got {logits.shape}")
+    """Stable exp-normalize over the last axis of a logit vector (t,) or of
+    each row of a batch (B, t), t >= 2."""
+    if logits.data.ndim not in (1, 2) or logits.shape[-1] < 2:
+        raise ShapeError(f"softmax: needs vectors of length >= 2, got {logits.shape}")
     if not np.all(np.isfinite(logits.data)):
         raise NumericsError("softmax: non-finite logits")
-    shifted = logits.data - logits.data.max()
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum()
+    p = e / e.sum(axis=-1, keepdims=True)
     def backward(g):
         if logits.requires_grad:
-            logits.accumulate_grad(p * (g - float(g @ p)))
+            logits.accumulate_grad(p * (g - (g * p).sum(axis=-1, keepdims=True)))
     return _result(p, (logits,), backward, "softmax")
 
 
@@ -699,119 +842,43 @@ def dropout(z: Tensor, rho: float, uniforms: np.ndarray | None) -> Tensor:
     return _result(z.data * mask, (z,), backward, "dropout")
 
 
-def nll_loss(p: Tensor, gold: int) -> Tensor:
-    """Negative log likelihood of the gold class.
+def nll_loss(p: Tensor, gold) -> Tensor:
+    """Negative log likelihood of the gold class: of one probability vector
+    p (t,) with a gold index, or the mean over a batch p (B, t) with one
+    gold index per row, the per-row terms summed in row order and scaled
+    by 1/B.
 
-    p[gold] is clamped at 1e-12 before the log; inside the clamped region
-    the gradient is zero, matching what finite differences see.
+    Each p[gold] is clamped at 1e-12 before the log; inside the clamped
+    region the gradient is zero, matching what finite differences see.
     """
-    if p.data.ndim != 1:
-        raise ShapeError(f"nll_loss: p must be 1-D, got {p.shape}")
-    if not 0 <= gold < p.shape[0]:
-        raise ValueError(f"nll_loss: gold index {gold} outside [0, {p.shape[0]})")
-    pg = float(p.data[gold])
+    if p.data.ndim not in (1, 2):
+        raise ShapeError(f"nll_loss: p must be 1-D or 2-D, got {p.shape}")
+    rows = p.data.reshape(-1, p.shape[-1])
+    golds = np.asarray(gold, dtype=np.intp).reshape(-1)
+    if golds.shape != (rows.shape[0],):
+        raise ShapeError(f"nll_loss: {golds.size} gold indices for {rows.shape[0]} rows")
+    if ((golds < 0) | (golds >= rows.shape[1])).any():
+        raise ValueError(f"nll_loss: gold index {gold} outside [0, {rows.shape[1]})")
+    batch = np.arange(rows.shape[0])
+    pg = rows[batch, golds]
     clamped = pg < LOG_CLAMP
-    if clamped and _debug_numerics:
-        log.warning("nll_loss: p[gold]=%.3e clamped at %.0e", pg, LOG_CLAMP)
+    if clamped.any() and _debug_numerics:
+        for value in pg[clamped]:
+            log.warning("nll_loss: p[gold]=%.3e clamped at %.0e", value, LOG_CLAMP)
+    terms = -np.log(np.maximum(pg, LOG_CLAMP))
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    weight = 1.0 / rows.shape[0]
     def backward(g):
-        if p.requires_grad and not clamped:
-            p.accumulate_grad(-float(g) / pg, gold)
-    return _result(np.asarray(-np.log(max(pg, LOG_CLAMP))), (p,), backward, "nll")
-
-
-# ---------------------------------------------------------------------------
-# The minibatch mean: one head per instance, on a worker pool
-
-
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-class _Standin(Tensor):
-    """A head's leaf for a tensor outside its graph.  It shares the
-    tensor's data; its gradient writes go to the tensor at once, or, when
-    recorded, into `writes` for the caller to apply later."""
-
-    __slots__ = ("target", "writes")
-
-    def __init__(self, target: Tensor, record: bool):
-        super().__init__(target.data, target.requires_grad)
-        self.target = target
-        self.writes: list | None = [] if record else None
-
-    def accumulate_grad(self, g, at=..., repeats: bool = False) -> None:
-        if self.writes is None:
-            self.target.accumulate_grad(g, at, repeats)
-        else:
-            self.writes.append((g, at, repeats))
-
-    def grad_buffer(self) -> np.ndarray:
-        raise RuntimeError("a head writes gradients through accumulate_grad only")
-
-
-def mean_of_heads(inputs: Iterable[Tensor], shared: Sequence[Tensor],
-                  head: Callable[[int, Tensor, tuple[Tensor, ...]], Tensor]) -> Tensor:
-    """The mean over i of the scalars `head(i, inputs[i], shared)`, as one
-    node whose parents are the inputs, in order, and the shared tensors.
-
-    The value is the left fold `((h_0 + h_1) + ...) * (1/B)` of the chain
-    `scale(add(add(h_0, h_1), ...), 1/B)`, and the gradients are those of
-    that chain; see the module docstring.  Each head runs forward, and
-    later backward, on a worker pool made for that pass with one worker
-    per usable CPU, while the caller draws the next input from `inputs`;
-    the workers record graphs in the caller's grad mode.  A failure
-    raises the error of the earliest failing instance, whether drawing
-    its input or running its head failed, and every worker has finished
-    when the pass returns or raises."""
-    recording = _grad_mode.enabled
-
-    def forward(i: int, x: Tensor):
-        _grad_mode.enabled = recording
-        leaves = tuple(_Standin(t, record=True) for t in shared)
-        h = head(i, _Standin(x, record=False), leaves)
-        if h.data.ndim != 0:
-            raise ShapeError(f"mean_of_heads: head {i} has shape {h.shape}, expected a scalar")
-        return h, leaves
-
-    xs: list[Tensor] = []
-    failure = None
-    with ThreadPoolExecutor(max_workers=usable_cpus()) as pool:
-        runs = []
-        try:
-            for i, x in enumerate(inputs):
-                xs.append(x)
-                runs.append(pool.submit(forward, i, x))
-        except Exception as exc:  # noqa: BLE001 - an earlier head's failure comes first
-            failure = exc
-        heads = [run.result() for run in runs]
-    if failure is not None:
-        raise failure
-    if not heads:
-        raise ValueError("mean_of_heads: no inputs")
-    c = 1.0 / len(heads)
-    total = heads[0][0].data
-    for h, _ in heads[1:]:
-        total = total + h.data
-
-    def backward(g):
-        def run(i: int) -> tuple[_Standin, ...]:
-            # The bits the chain's `scale` and `add` rules hand head i.
-            h, leaves = heads[i]
-            h.accumulate_grad(g * c)
-            _backprop(h)
-            return leaves
-
-        with ThreadPoolExecutor(max_workers=usable_cpus()) as pool:
-            for leaves in pool.map(run, range(len(heads))):
-                for leaf in leaves:
-                    for write in leaf.writes:
-                        leaf.target.accumulate_grad(*write)
-                    leaf.writes.clear()
-
-    return _result(total * c, (*xs, *shared), backward, "mean_of_heads")
+        if p.requires_grad and not clamped.all():
+            live = ~clamped
+            values = (-float(g) * weight) / pg[live]
+            if p.data.ndim == 2:
+                p.accumulate_grad(values, (batch[live], golds[live]))
+            else:
+                p.accumulate_grad(values[0], int(golds[0]))
+    return _result(np.asarray(total * weight), (p,), backward, "nll")
 
 
 def grad_check(f: Callable[[], Tensor], inputs: Sequence[Tensor], eps: float = 1e-4) -> float:

@@ -14,9 +14,8 @@
   it (repeated rows one row at a time), and a last pass of `backward`
   that zero-fills every reachable node no gradient reached.  The rule is
   swapped in beneath `Tensor.accumulate_grad`'s signature, so backward
-  rules, and the heads of `tensor.mean_of_heads` on worker threads, write
-  through it as they write through the real one.  Tests require the same
-  loss and gradients, bit for bit.
+  rules write through it as they write through the real one.  Tests
+  require the same loss and gradients, bit for bit.
 - The convolution as the three-node chain `conv1d_valid → relu →
   max_over_time`, and `gather` scattering every gradient one row at a
   time (inside `three_node_conv()`): the paths that the fused
@@ -30,12 +29,13 @@
   scratch arrays per parameter: the step that the blocked
   `optim.nadam_step` replaced.  Tests require the same parameters and
   moments, bit for bit.
-- `predict_pairs` classifying the instances one after another on the
-  calling thread, which `optim.predict_pairs`'s worker pool replaced.
-  Tests require the same pairs and probabilities, bit for bit.
-- `model.loss` as one graph built on the calling thread, instance after
-  instance, which `tensor.mean_of_heads`'s worker pool replaced.  Tests
-  require the same loss, gradients and generator state, bit for bit.
+- The per-instance head (`class_probabilities`: an instance's n x d input
+  matrix, `conv_relu_max`, dropout and the softmax of `w1 @ z + b1`), the
+  serial `loss` built from it instance after instance, and the serial
+  `predict_pairs`: the paths that the batched head of `model.loss` and
+  `model.forward` replaced, which sums in another order.  Tests require
+  the same pairs and labels, and the loss, gradients and probabilities
+  within the tolerances of `test_tolerance_oracle.py`.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import logging
 
 import numpy as np
 
-from cdrex import corpus, encoders, evaluation, model, optim
+from cdrex import corpus, encoders, evaluation, optim
 from cdrex import tensor as T
 from cdrex.corpus import CHEMICAL, DISEASE, Document, Mention, RelationInstance, Token
 from cdrex.encoders import CharEncoderParams, EmbeddingTable, LstmParams, _char_ids
@@ -285,31 +285,56 @@ def nadam_step(named_params, state):
     return state
 
 
+def head(mat: Tensor, filters: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, rho: float,
+         uniforms: np.ndarray | None) -> Tensor:
+    """Probability vector over CLASS_ORDER from an input matrix: the
+    convolution's max over time, dropout with `uniforms` (None at
+    inference), and the softmax of `w1 @ z + b1`."""
+    z = T.conv_relu_max(mat, filters, bias)
+    z = T.dropout(z, rho, uniforms)
+    return T.softmax(T.add(T.matmul(w1, z), b1))
+
+
+def class_probabilities(instance, params, rng, training, word_tokens=None, chars=None):
+    """One instance's probability vector through its own n x d input
+    matrix, with the graph attached unless run under `tensor.no_grad`;
+    dropout draws one row of m uniforms from `rng` when `training`."""
+    mat = encoders.build_input_matrix(instance, params.tables, params.char_params,
+                                      word_tokens=word_tokens, chars=chars)
+    uniforms = None
+    if training and params.hyper.rho != 0.0:
+        uniforms = rng.fill_uniform((params.conv_filters.shape[0],), 0.0, 1.0)
+    return head(mat, params.conv_filters, params.conv_bias, params.w1, params.b1,
+                params.hyper.rho, uniforms)
+
+
 def predict_pairs(split, params, train_relations):
-    """`optim.predict_pairs` with every forward on the calling thread,
-    document by document."""
-    rng = Rng(0)
+    """`optim.predict_pairs` through `class_probabilities`: the split's
+    forms encoded at once, then each instance's input matrix and head in
+    turn, document by document."""
     fitted = optim.fit_instances(split.instances, params.hyper.n)
-    chars = model.inference_chars(fitted, params)
+    chars = None
+    if params.char_params is not None and fitted:
+        with T.no_grad():
+            chars = encoders.char_rows(fitted, params.tables, params.char_params)
     by_doc = {}
     for inst in fitted:
         by_doc.setdefault(inst.pmid, []).append(inst)
     predicted = {}
     for doc in split.documents:
         instances = by_doc.get(doc.pmid, [])
-        labels = {inst.uid: model.forward(inst, params, rng, training=False, chars=chars).label
-                  for inst in instances}
+        labels = {}
+        for inst in instances:
+            with T.no_grad():
+                p = class_probabilities(inst, params, None, training=False, chars=chars)
+            labels[inst.uid] = int(np.argmax(p.data))
         predicted[doc.pmid] = evaluation.aggregate_document(doc, instances, labels,
                                                             train_relations)
     return predicted
 
 
-# The serial per-instance head: one instance's probability vector.
-class_probabilities = model.class_probabilities
-
-
 def loss(batch, params, rng, lookup_tokens=None):
-    """`model.loss` as one graph built on the calling thread: each
+    """`model.loss` as one graph built instance after instance: each
     instance's probabilities, NLL and its `add` into the running total in
     turn, then `scale` by 1/B, with each instance's dropout drawn as it
     runs."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -203,6 +204,27 @@ def test_train_is_byte_identical_across_hash_seeds(corpora, variant):
         report = out.with_suffix(".report").read_text().replace(str(out), "OUT")
         outputs.append((out.with_suffix(".model").read_bytes(), report))
     assert outputs[0] == outputs[1]
+
+
+def test_train_is_byte_identical_at_any_blas_thread_count(tmp_path):
+    """`cdrex train` pins OpenBLAS to one thread, so a model with products
+    large enough for OpenBLAS to split between threads (500 filters) is
+    written with the same bits whether OPENBLAS_NUM_THREADS is unset or 1."""
+    train, dev = tmp_path / "train.pubtator", tmp_path / "dev.pubtator"
+    train.write_text(synthetic_corpus_text(40))
+    dev.write_text(synthetic_corpus_text(12, start=40))
+    env = dict(os.environ, PYTHONPATH=str(Path(cdrex.__file__).parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    digests = []
+    for threads in (None, "1"):
+        out = tmp_path / f"threads-{threads}.model"
+        subprocess.run([sys.executable, "-m", "cdrex.cli", "train", "--train", str(train),
+                        "--dev", str(dev), "--model-out", str(out), "--epochs", "2",
+                        "--filters", "500", "--batch-size", "16", "--seed", "3"],
+                       check=True, capture_output=True, timeout=300,
+                       env=env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads})
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 class TestEvalCommand:

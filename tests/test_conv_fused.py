@@ -1,10 +1,10 @@
 """The fused `tensor.conv_relu_max` against the chain it replaced.
 
-The model and the character CNN run conv → ReLU → max-over-time as one
-node whose filter and bias gradients come from each column's argmax row
-only.  Its value and all three gradients, and the model's loss, every
-parameter gradient and every probability vector, must equal those of the
-three-node chain `conv1d_valid → relu → max_over_time` (kept in
+The character CNN runs conv → ReLU → max-over-time as one node whose
+filter and bias gradients come from each column's argmax row only.  Its
+value and all three gradients, and the model's loss, every parameter
+gradient and every probability vector, must equal those of the three-node
+chain `conv1d_valid → relu → max_over_time` (kept in
 `oracle.three_node_conv()`), bit for bit.
 """
 
@@ -126,9 +126,9 @@ def loss_grads_and_probabilities(params):
         t.grad = None
     total = M.loss(batch(), params, Rng(9))  # rho = 0.5: the same dropout masks each run
     total.backward()
-    chars = M.inference_chars(batch(), params)
+    shared = M.projections(batch(), params)
     probs = ([M.forward(inst, params, Rng(1)).probabilities.tobytes() for inst in batch()]
-             + [M.forward(inst, params, Rng(1), chars=chars).probabilities.tobytes()
+             + [M.forward(inst, params, Rng(1), shared=shared).probabilities.tobytes()
                 for inst in batch()])
     return total.data.tobytes(), {name: t.grad_buffer().tobytes() for name, t in named}, probs
 
@@ -151,16 +151,13 @@ def test_model_matches_the_chain(variant, l2, unit_scale):
 
 @pytest.mark.parametrize("variant", M.VARIANTS)
 def test_one_conv_node_per_encoding(variant):
-    # The loss graph holds the character encodings, and the head's
-    # convolution sits inside its one `mean_of_heads` node; a
-    # one-instance probability graph holds both.
+    # The loss graph holds one fused node per character encoding, and the
+    # model's own convolution is one `tap_sum_relu_max` node over the
+    # batch, fed by the key and position tap projections.
     params = variant_model(variant, 0.001, unit_scale=False)
     forms = len(set(batch()[0].tokens + ["PAD"])) if variant == "cnn+cnnchar" else 0
     loss_ops = [node.op for node in T.graph_nodes(M.loss(batch()[:1], params, Rng(9)))]
-    head_ops = [node.op for node in T.graph_nodes(
-        M.class_probabilities(batch()[0], params, Rng(9), training=True))]
-    for ops in (loss_ops, head_ops):
-        assert not {"conv1d_valid", "relu", "max_over_time"} & set(ops)
-    assert loss_ops.count("mean_of_heads") == 1
+    assert not {"conv1d_valid", "relu", "max_over_time"} & set(loss_ops)
     assert loss_ops.count("conv_relu_max") == forms
-    assert head_ops.count("conv_relu_max") == 1 + forms
+    assert loss_ops.count("tap_sum_relu_max") == 1
+    assert loss_ops.count("tap_projections") == 3

@@ -58,11 +58,11 @@ def loss_and_grads(batch, params):
 
 
 def probabilities(batch, params):
-    """Per-instance encodings (the training layout, under no_grad) and
-    the batch's forms encoded in one call (the inference layout)."""
-    chars = M.inference_chars(batch, params)
+    """Per-instance encodings and the batch's forms encoded in one call
+    (the inference layout)."""
+    shared = M.projections(batch, params)
     return ([M.forward(inst, params, Rng(1)).probabilities.tobytes() for inst in batch]
-            + [M.forward(inst, params, Rng(1), chars=chars).probabilities.tobytes()
+            + [M.forward(inst, params, Rng(1), shared=shared).probabilities.tobytes()
                for inst in batch])
 
 

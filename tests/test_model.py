@@ -13,7 +13,6 @@ from cdrex.model import (
     ModelFormatError,
     Prediction,
     VARIANTS,
-    class_probabilities,
     forward,
     init_model,
     load_model,
@@ -22,6 +21,7 @@ from cdrex.model import (
 )
 from cdrex.rng import Rng
 from cdrex.tensor import grad_check
+from test_tolerance_oracle import assert_probabilities_close
 
 
 WORDS = ["aspirin", "causes", "headache", "mice", "padding", "tumors"]
@@ -61,9 +61,9 @@ class TestForward:
 
     def test_shapes(self):
         params = tiny_model(m=5)
-        p = class_probabilities(make_instance(), params, Rng(1), training=False)
+        p = forward(make_instance(), params, Rng(1)).probabilities
         assert p.shape == (2,)
-        assert abs(float(p.data.sum()) - 1.0) < 1e-12
+        assert abs(float(p.sum()) - 1.0) < 1e-12
         # The pooled feature vector has one entry per filter.
         assert params.conv_filters.shape[0] == 5
 
@@ -93,12 +93,13 @@ class TestGraphFreeForward:
     def test_output_has_no_parents(self, variant, monkeypatch):
         params = tiny_model(variant=variant)
         seen = []
+        real = T.softmax
 
         def spy(*args, **kwargs):
-            seen.append(class_probabilities(*args, **kwargs))
+            seen.append(real(*args, **kwargs))
             return seen[-1]
 
-        monkeypatch.setattr(M, "class_probabilities", spy)
+        monkeypatch.setattr(T, "softmax", spy)
         forward(make_instance(), params, Rng(1))
         assert len(seen) == 1
         assert seen[0]._parents == () and not seen[0].requires_grad
@@ -112,20 +113,20 @@ class TestGraphFreeForward:
                      make_instance(tokens=("mice", "tumors", "aspirin"), i1=2, i2=1, uid="doc1#1"),
                      make_instance(tokens=("headache", "Aspirin"), i1=1, i2=0, uid="doc1#2"),
                      make_instance(uid="doc1#3")]
-        chars = M.inference_chars(instances, params)
+        shared = M.projections(instances, params)
         for inst in instances:
-            pred = forward(inst, params, Rng(1), chars=chars)
+            pred = forward(inst, params, Rng(1), shared=shared)
             # The reference encodes each instance's forms afresh, with the
             # graph, characters through the per-word, per-step graph.
             with oracle.per_word_graph():
-                reference = class_probabilities(inst, params, Rng(1), training=False)
+                reference = oracle.class_probabilities(inst, params, Rng(1), training=False)
             assert reference.requires_grad
-            assert np.array_equal(pred.probabilities, reference.data)
+            assert_probabilities_close(pred.probabilities, reference.data)
             assert pred.label == int(np.argmax(reference.data))
         if variant == "cnn":
-            assert chars is None
+            assert shared.chars is None
         else:
-            encoded, slot = chars
+            encoded, slot = shared.chars
             assert list(slot) == ["aspirin", "causes", "headache", "PAD", "mice", "tumors",
                                   "Aspirin"]
             assert encoded.shape == (7, params.char_params.out_dim)

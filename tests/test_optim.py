@@ -2,10 +2,7 @@ import contextlib
 import dataclasses
 import gc
 import logging
-import os
-import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -37,6 +34,7 @@ from cdrex.optim import (
 )
 from cdrex.rng import Rng
 from cdrex.tensor import NumericsError, Tensor, graph_nodes
+from test_tolerance_oracle import assert_probabilities_close
 
 
 # ---------------------------------------------------------------------------
@@ -576,13 +574,14 @@ def test_predict_pairs_covers_every_document():
     assert set(pairs) == {doc.pmid for doc in split.documents}
 
 
-def inference_model(variant: str, split: DataSplit) -> M.ModelParams:
-    """A small model with unit-scale parameters and its output bias set
-    so that about half the split's instances are labelled positive."""
+def inference_model(variant: str, split: DataSplit, seed: int = 4) -> M.ModelParams:
+    """A small model with unit-scale parameters drawn from `seed` and its
+    output bias set so that about half the split's instances are labelled
+    positive."""
     vocab = build_vocab(split.documents, split.instances)
     params = M.init_model(vocab, variant, Rng(3), m=6, k=2, word_dim=10, pos_dim=3,
                           char_dim=4, char_filters=4, char_window=2, lstm_units=3)
-    fill = Rng(4)
+    fill = Rng(seed)
     for _, t in params.named_tensors():
         t.data[:] = fill.fill_uniform(t.shape, -0.5, 0.5)
     margins = [np.diff(np.log(M.forward(fit_instance(inst, vocab.n), params, Rng(0))
@@ -625,9 +624,9 @@ class TestGraphFreeInference:
             # The reference: a per-instance encoding with the graph enabled,
             # characters through the per-word, per-step graph.
             with oracle.per_word_graph():
-                reference = M.class_probabilities(fitted, params, Rng(0), training=False)
+                reference = oracle.class_probabilities(fitted, params, Rng(0), training=False)
             assert reference.requires_grad
-            assert np.array_equal(pred.probabilities, reference.data)
+            assert_probabilities_close(pred.probabilities, reference.data)
             labels[uid] = int(np.argmax(reference.data))
             assert pred.label == labels[uid]
         assert set(labels.values()) == {0, 1}
@@ -686,15 +685,14 @@ class TestGraphFreeInference:
             assert np.array_equal(after[name], before[name]), name
 
 
-def spy_forward(monkeypatch) -> dict[str, tuple[bytes, int]]:
-    """uid -> (probability bytes, thread id) of every `model.forward`
-    call from here on."""
+def spy_forward(monkeypatch) -> dict[str, bytes]:
+    """uid -> probability bytes of every `model.forward` call from here on."""
     seen = {}
     real = M.forward
 
     def forward(inst, *args, **kwargs):
         pred = real(inst, *args, **kwargs)
-        seen[inst.uid] = (pred.probabilities.tobytes(), threading.get_ident())
+        seen[inst.uid] = pred.probabilities.copy()
         return pred
 
     monkeypatch.setattr(M, "forward", forward)
@@ -706,66 +704,41 @@ def pool_threads() -> set[threading.Thread]:
 
 
 class TestPredictPairsPool:
-    def test_workers_are_the_usable_cpus(self, monkeypatch):
-        expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        assert optim.usable_cpus() == expected
-        sizes = []
-        real = optim.ThreadPoolExecutor
+    """`predict_pairs` against the serial per-instance loop of the oracle,
+    and its failures, on the calling thread."""
 
-        def executor(max_workers):
-            sizes.append(max_workers)
-            return real(max_workers)
-
-        monkeypatch.setattr(optim, "ThreadPoolExecutor", executor)
-        split = synthetic_split(4)
-        predict_pairs(split, inference_model("cnn", split), set())
-        assert sizes == [expected]
-
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("variant", M.VARIANTS)
-    def test_equals_the_serial_loop(self, variant, workers, monkeypatch):
+    def test_equals_the_serial_loop(self, variant, seed, monkeypatch):
         split = synthetic_split(12)
-        params = inference_model(variant, split)
+        params = inference_model(variant, split, seed)
         train_rel = training_relations(split.documents[:4])
-        monkeypatch.setattr(optim, "usable_cpus", lambda: workers)
-        reference_seen = spy_forward(monkeypatch)
         reference = oracle.predict_pairs(split, params, train_rel)
         seen = spy_forward(monkeypatch)
-        params.tables.word_rows.clear()  # the workers fill it, switching often
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pairs = predict_pairs(split, params, train_rel)
-        finally:
-            sys.setswitchinterval(interval)
+        params.tables.word_rows.clear()
+        pairs = predict_pairs(split, params, train_rel)
         assert pairs == reference
-        assert seen.keys() == reference_seen.keys() == {inst.uid for inst in split.instances}
-        for uid, (probabilities, _) in seen.items():
-            assert probabilities == reference_seen[uid][0], uid
-        threads = {thread for _, thread in seen.values()}
-        assert threading.get_ident() not in threads and len(threads) <= workers
+        assert seen.keys() == {inst.uid for inst in split.instances}
+        for inst in split.instances:
+            expected = oracle.class_probabilities(inst, params, None, training=False).data
+            assert_probabilities_close(seen[inst.uid], expected)
 
     def test_earliest_failure_raised_and_no_worker_outlives_the_call(self, monkeypatch):
         split = synthetic_split(12)
         params = inference_model("cnn", split)
         uids = [inst.uid for inst in split.instances]
         failing = {uids[3], uids[7]}
-        real = M.class_probabilities
+        real = M.forward
 
-        def class_probabilities(inst, *args, **kwargs):
-            # Runs inside `forward`'s no_grad block; the sleeps make the
-            # workers' blocks overlap, and the earliest failing instance
-            # fail last.
-            time.sleep(0.02 if inst.uid == uids[3] else 0.001)
+        def forward(inst, *args, **kwargs):
             if inst.uid in failing:
                 raise RuntimeError(inst.uid)
             return real(inst, *args, **kwargs)
 
-        monkeypatch.setattr(M, "class_probabilities", class_probabilities)
-        monkeypatch.setattr(optim, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(M, "forward", forward)
         before = pool_threads()
         w = Tensor(np.ones(2), requires_grad=True)
-        for attempt in range(24):
+        for attempt in range(4):
             recording = attempt % 2 == 0  # the caller's grad mode
             with contextlib.nullcontext() if recording else T.no_grad():
                 with pytest.raises(RuntimeError) as caught:

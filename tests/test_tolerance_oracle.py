@@ -37,7 +37,6 @@ from cdrex.corpus import RelationInstance, Vocab, fit_instance
 from cdrex.encoders import UNK_WORD
 from cdrex.optim import zero_grads
 from cdrex.rng import Rng
-from test_optim import synthetic_split, tiny_config
 
 LOSS_RTOL = 1e-10
 GRAD_RTOL = 1e-10
@@ -178,6 +177,8 @@ def dev_labels(params, dev, reference: bool) -> dict[str, int]:
 
 @pytest.mark.parametrize("variant", M.VARIANTS)
 def test_two_epoch_run(variant, monkeypatch):
+    from test_optim import synthetic_split, tiny_config  # it imports this module
+
     train_split, dev = synthetic_split(12), synthetic_split(8, start=12)
     config = tiny_config(variant=variant, epochs=2, dropout=0.5, l2=0.001, learning_rate=5e-3)
     report, params = optim.train(config, train_split, dev)
