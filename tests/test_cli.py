@@ -28,7 +28,8 @@ from cdrex.cli import (
     main,
     resolve_config,
 )
-from cdrex.model import MAGIC, load_model
+from cdrex.model import MAGIC, load_model, save_model
+from cdrex.tensor import Tensor
 
 
 @pytest.fixture
@@ -316,6 +317,19 @@ class TestEvalCommand:
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_window_wider_than_the_rows_exits_1_with_one_line(self, corpora, capsys, command):
+        params = load_model(self.trained_model(corpora, capsys))  # n = 5
+        m, _, d = params.conv_filters.shape
+        params.hyper.k = params.hyper.n + 2
+        params.conv_filters = Tensor(np.zeros((m, params.hyper.k, d)))
+        wide = corpora["dir"] / "wide.bin"
+        save_model(params, wide)
+        args = [command, "--model-in", str(wide), "--test", corpora["test"]]
+        code = main(args + (["--train", corpora["train"]] if command == "eval" else []))
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err and "k=7" in err
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_pair_wider_than_the_model_is_labelled_0(self, corpora, capsys, caplog, command):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
+from cdrex import encoders
 from cdrex import model as M
 from cdrex import tensor as T
 from cdrex.corpus import RelationInstance, Vocab
@@ -105,28 +106,36 @@ class TestGraphFreeForward:
         assert seen[0]._parents == () and not seen[0].requires_grad
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_shared_cache_matches_the_graph_oracle(self, variant):
+    def test_shared_cache_matches_the_graph_oracle(self, variant, monkeypatch):
         """Every instance reads its rows from one shared encoding of all
-        the instances' forms, as at inference."""
+        the instances' forms, as at inference (`model.predict`)."""
         params = unit_scale(tiny_model(variant=variant))
         instances = [make_instance(),
                      make_instance(tokens=("mice", "tumors", "aspirin"), i1=2, i2=1, uid="doc1#1"),
                      make_instance(tokens=("headache", "Aspirin"), i1=1, i2=0, uid="doc1#2"),
                      make_instance(uid="doc1#3")]
-        shared = M.projections(instances, params)
-        for inst in instances:
-            pred = forward(inst, params, Rng(1), shared=shared)
+        encodings = []
+        real = encoders.char_rows
+
+        def char_rows(*args):
+            encodings.append(real(*args))
+            return encodings[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(encoders, "char_rows", char_rows)
+            [rows] = M.predict([instances], params)
+        for inst, p in zip(instances, rows):
             # The reference encodes each instance's forms afresh, with the
             # graph, characters through the per-word, per-step graph.
             with oracle.per_word_graph():
                 reference = oracle.class_probabilities(inst, params, Rng(1), training=False)
             assert reference.requires_grad
-            assert_probabilities_close(pred.probabilities, reference.data)
-            assert pred.label == int(np.argmax(reference.data))
+            assert_probabilities_close(p, reference.data)
+            assert int(np.argmax(p)) == int(np.argmax(reference.data))
         if variant == "cnn":
-            assert shared.chars is None
+            assert encodings == []
         else:
-            encoded, slot = shared.chars
+            [(encoded, slot)] = encodings
             assert list(slot) == ["aspirin", "causes", "headache", "PAD", "mice", "tumors",
                                   "Aspirin"]
             assert encoded.shape == (7, params.char_params.out_dim)
@@ -234,6 +243,18 @@ class TestSerialization:
         with pytest.raises(ModelFormatError) as exc:
             load_model(path)
         assert exc.value.code == ModelFormatError.SHAPE_MISMATCH
+
+    def test_window_wider_than_the_rows(self, tmp_path):
+        path = tmp_path / "model.bin"
+        for k in (3, 5):  # n = 3: one window, then none
+            save_model(init_model(tiny_vocab(n=3), "cnn", Rng(1), m=2, k=k, word_dim=4,
+                                  pos_dim=2), path)
+            if k == 3:
+                forward(make_instance(tokens=("mice",), i1=0, i2=0), load_model(path), Rng(1))
+                continue
+            with pytest.raises(ModelFormatError, match="k=5") as exc:
+                load_model(path)
+            assert exc.value.code == ModelFormatError.BAD_METADATA
 
     def test_every_truncation_and_bit_flip_loads_or_is_a_format_error(self, tmp_path):
         vocab = Vocab(words=["ab"], counts={"ab": 1}, chars=sorted(set("abPAD")), n=2)
