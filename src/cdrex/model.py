@@ -177,13 +177,17 @@ def init_model(vocab, variant: str, rng: Rng, *, m: int = 100, rho: float = 0.5,
 # instance reads a contiguous run (`tensor.shift_sum`).
 
 
-def _dropout_uniforms(params: ModelParams, rng: Rng, count: int) -> np.ndarray | None:
-    """The dropout uniforms of `count` instances, one row of m each, drawn
-    from `rng` in one draw that equals `count` separate ones; at rho 0
-    nothing is drawn."""
-    if params.hyper.rho == 0.0:
-        return None
-    return rng.fill_uniform((count, params.conv_filters.shape[0]), 0.0, 1.0)
+@dataclass
+class Projections:
+    """Terms of the convolution maps that `_probabilities` reads; those
+    left None it computes from the instances it classifies.  Built by
+    `projections`, they let the forwards of many instances share them,
+    valid while the parameters keep their values."""
+
+    chars: tuple[Tensor, dict[str, int]] | None  # character encodings and each form's row
+    positions: tuple[tuple[Tensor, int], ...] | None = None  # Q1, Q2 and the row each starts at
+    codes: np.ndarray | None = None              # the projected keys' codes, ascending
+    taps: Tensor | None = None                   # (k, K, m): row r projects codes[r]
 
 
 def _chars(instances, params: ModelParams) -> tuple[Tensor, dict[str, int]] | None:
@@ -227,18 +231,9 @@ def _key_codes(instances, params: ModelParams, chars, lookup_tokens=None,
     return codes
 
 
-def _probabilities(instances, params: ModelParams, chars, positions=None, uniforms=None,
-                   lookup_tokens=None, labelled: bool = False) -> Tensor:
-    """(B, t) probabilities over CLASS_ORDER of the instances, checked
-    first (`_key_codes`), whose forms `chars` (from `_chars`) covers.
-
-    Each distinct key is projected by each filter tap in one product, then
-    every instance's map, ReLU and max over time come from one
-    `tensor.tap_sum_relu_max` node, and dropout (with `uniforms`), the
-    output layer and the softmax are one node each.  The position terms
-    are `positions` (from `_position_terms` over instances that include
-    these), by default those of these instances."""
-    codes = _key_codes(instances, params, chars, lookup_tokens, labelled)
+def _key_projections(codes: np.ndarray, params: ModelParams, chars) -> tuple[np.ndarray, Tensor]:
+    """The distinct codes, ascending, and their (k, K, m) tap projections:
+    the word rows, then the character rows, meet their filter columns."""
     unique = np.unique(codes)
     dw, d = params.tables.word.dim, params.input_dim
     rows = T.gather(params.tables.word.weights, unique // (len(chars[1]) if chars else 1))
@@ -246,47 +241,88 @@ def _probabilities(instances, params: ModelParams, chars, positions=None, unifor
     if chars is not None:
         rows = T.concat([rows, T.gather(chars[0], unique % len(chars[1]))])
         columns += (slice(d - chars[0].shape[1], d),)
-    taps = T.tap_projections(rows, params.conv_filters, columns)
+    return unique, T.tap_projections(rows, params.conv_filters, columns)
+
+
+def _probabilities(instances, params: ModelParams, terms: Projections, rng: Rng | None = None,
+                   lookup_tokens=None, labelled: bool = False) -> Tensor:
+    """(B, t) probabilities over CLASS_ORDER of the instances, whose forms
+    `terms.chars` covers; `loss` and `forward` both build them here.
+
+    The instances are checked first (`_key_codes`).  The keys' tap
+    projections and the position terms are those of `terms`, or else
+    each distinct key is projected by each filter tap in one product.
+    Every instance's map, ReLU and max over time come from one
+    `tensor.tap_sum_relu_max` node, and dropout (its uniforms drawn from
+    `rng` last; none without `rng`), the output layer and the softmax are
+    one node each.  ValueError when `terms` lacks a key."""
+    try:
+        codes = _key_codes(instances, params, terms.chars, lookup_tokens, labelled)
+    except KeyError as exc:  # a form outside the shared character encodings
+        raise ValueError(f"the shared projections lack the form {exc.args[0]!r}") from None
+    unique, taps = ((terms.codes, terms.taps) if terms.taps is not None
+                    else _key_projections(codes, params, terms.chars))
+    keys = np.minimum(np.searchsorted(unique, codes), len(unique) - 1)
+    missing = (unique[keys] != codes).any(axis=1)
+    if missing.any():
+        inst = instances[int(np.argmax(missing))]
+        raise ValueError(f"instance {getattr(inst, 'uid', '?')} has rows whose keys "
+                         "the shared projections lack")
     last = params.hyper.n - 1
     shifted = [(term, np.array([last - getattr(inst, name) - first for inst in instances]))
                for name, (term, first) in zip(("i1", "i2"),
-                                              positions or _position_terms(params, instances))]
-    z = T.tap_sum_relu_max(taps, np.searchsorted(unique, codes), shifted, params.conv_bias)
+                                              terms.positions or _position_terms(params, instances))]
+    z = T.tap_sum_relu_max(taps, keys, shifted, params.conv_bias)
+    uniforms = None
+    if rng is not None and params.hyper.rho != 0.0:  # one draw, equal to one per instance
+        uniforms = rng.fill_uniform((len(instances), params.conv_filters.shape[0]), 0.0, 1.0)
     z = T.dropout(z, params.hyper.rho, uniforms)
     return T.softmax(T.linear(z, params.w1, params.b1))
 
 
-def predict(groups, params: ModelParams) -> list[np.ndarray]:
-    """Each group's (B, t) probability rows over CLASS_ORDER, computed
-    without a graph and without dropout.
-
-    Every instance is checked first (`encoders.padded_tokens`); then all
-    forms are encoded in one call and the position terms computed once.
-    Each group's distinct keys are projected together and its instances
-    classified together, so memory grows with the largest group.  The
-    bits of a row may depend on its company: OpenBLAS may round a row of
-    a product differently with a different row count, both where keys are
-    projected and in the output layer, so a row agrees with `forward` on
-    the instance alone within a few units in the last place, not bit for
-    bit."""
-    instances = [inst for group in groups for inst in group]
+def shared_terms(instances, params: ModelParams) -> Projections:
+    """Without a graph, the terms that the instances' forwards share and
+    that do not depend on their keys: all their forms encoded in one
+    `encoders.char_rows` call, and the position terms.  Each instance is
+    checked first (`encoders.padded_tokens`), since the position terms
+    index the tables by its entity positions."""
     for inst in instances:
         encoders.padded_tokens(inst, params.hyper.n)
-    if not instances:
-        return [np.empty((0, len(CLASS_ORDER))) for _ in groups]
     with T.no_grad():
-        chars, positions = _chars(instances, params), _position_terms(params, instances)
-        return [_probabilities(group, params, chars, positions).data for group in groups]
+        return Projections(_chars(instances, params), _position_terms(params, instances))
 
 
-def forward(instance, params: ModelParams, rng: Rng, training: bool = False) -> Prediction:
+def projections(instances, params: ModelParams, shared: Projections | None = None) -> Projections:
+    """`shared` (by default `shared_terms(instances, params)`, which it must
+    cover) with, computed without a graph, the tap projections of the
+    instances' distinct keys, for `forward` to share.
+
+    The keys are projected in one matrix product per tap, and OpenBLAS may
+    round a row of a product differently with a different row count, so a
+    key's bits may depend on which other keys are projected with it: the
+    same instances give the same bits, other company may change the last
+    ones.  The position terms likewise depend on the rows they cover."""
+    shared = shared or shared_terms(instances, params)
+    with T.no_grad():
+        codes, taps = _key_projections(_key_codes(instances, params, shared.chars),
+                                       params, shared.chars)
+    return Projections(shared.chars, shared.positions, codes, taps)
+
+
+def forward(instance, params: ModelParams, rng: Rng, training: bool = False,
+            shared: Projections | None = None) -> Prediction:
     """Class probabilities and label for one instance, computed without a
-    graph, with dropout only when `training`: the probability function of
-    `loss` and `predict` on the instance alone."""
+    graph, with dropout only when `training`: `_probabilities` of the
+    instance alone.
+
+    The instance's map reads its keys' rows of `shared` (from
+    `projections`, for instances that include this one), or of
+    projections of its own keys; the two agree within a few units in the
+    last place (see `projections`).  ValueError when `shared` lacks one
+    of the instance's keys."""
     with T.no_grad():
-        uniforms = _dropout_uniforms(params, rng, 1) if training else None
-        p = _probabilities([instance], params, _chars([instance], params),
-                           uniforms=uniforms).data[0].copy()
+        terms = shared or Projections(_chars([instance], params))
+        p = _probabilities([instance], params, terms, rng if training else None).data[0].copy()
     return Prediction(uid=getattr(instance, "uid", ""), probabilities=p, label=int(np.argmax(p)))
 
 
@@ -295,17 +331,16 @@ def loss(batch, params: ModelParams, rng: Rng,
     """Mean per-instance negative log likelihood over the batch, plus the
     L2 penalty added once (not per instance).
 
-    One graph serves the whole batch: its forms are encoded once and its
-    probabilities built by `_probabilities`, and the NLL is one node over
-    them.  The dropout uniforms of the batch are drawn in one draw that
-    leaves `rng` as one draw per instance does.  The instances are checked
-    in order, and the first that has no gold label or does not fit raises
-    ValueError."""
+    One graph serves the whole batch: its forms are encoded once
+    (`encoders.char_rows`), its probabilities built by `_probabilities`,
+    and the NLL is one node over them.  The dropout uniforms of the batch
+    are drawn in one draw that leaves `rng` as one draw per instance does.
+    The instances are checked in order, and the first that has no gold
+    label or does not fit raises ValueError before `rng` is drawn from."""
     if not batch:
         raise ValueError("loss needs a nonempty batch")
-    uniforms = _dropout_uniforms(params, rng, len(batch))
-    p = _probabilities(batch, params, _chars(batch, params), uniforms=uniforms,
-                       lookup_tokens=lookup_tokens, labelled=True)
+    p = _probabilities(batch, params, Projections(_chars(batch, params)), rng, lookup_tokens,
+                       labelled=True)
     mean = T.nll_loss(p, [inst.label for inst in batch])
     if params.hyper.l2 != 0.0:
         penalty = None

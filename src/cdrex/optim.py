@@ -8,11 +8,10 @@ rates (no momentum schedule):
     step  = lr * (b1*m_hat + (1-b1)*g/(1-b1^t)) / (sqrt(v_hat) + eps)
 
 Training shuffles instances, resamples fresh UNK masks every epoch,
-evaluates document-level dev F1 after each epoch (each document's
-instances classified together by `model.predict`), and keeps the
-parameters of the best epoch (earlier epoch on ties).  All randomness
-derives from the single config seed, so identical configs reproduce
-bitwise-identical models.
+evaluates document-level dev F1 after each epoch (characters of the
+split's distinct words encoded in one call), and keeps the parameters of
+the best epoch (earlier epoch on ties).  All randomness derives from the
+single config seed, so identical configs reproduce bitwise-identical models.
 """
 
 from __future__ import annotations
@@ -194,16 +193,23 @@ def predict_pairs(split: DataSplit, params: ModelParams,
     classification plus the training co-occurrence rule.  An instance
     that `fit_instances` drops predicts no pair, as one labelled 0.
 
-    The instances that fit are classified by one `model.predict` call,
-    one group per document, so memory grows with a document, not with
-    the split."""
+    The split's forms are encoded in one call, and the position terms
+    computed once (`model.shared_terms`); each document's distinct keys
+    are then projected together (`model.projections`), so memory grows
+    with a document, not with the split, and `model.forward` classifies
+    each instance from them, one after another."""
+    rng = Rng(0)  # inference is deterministic; the stream is never used
     fitted = fit_instances(split.instances, params.hyper.n)
     by_doc: dict[str, list[RelationInstance]] = {}
     for inst in fitted:
         by_doc.setdefault(inst.pmid, []).append(inst)
     labels = {}
-    for instances, rows in zip(by_doc.values(), model.predict(list(by_doc.values()), params)):
-        labels.update((inst.uid, int(np.argmax(p))) for inst, p in zip(instances, rows))
+    if fitted:
+        shared = model.shared_terms(fitted, params)  # valid for this call's parameters only
+        for instances in by_doc.values():
+            projections = model.projections(instances, params, shared)
+            for inst in instances:
+                labels[inst.uid] = model.forward(inst, params, rng, shared=projections).label
     predicted = {}
     for doc in split.documents:
         instances = by_doc.get(doc.pmid, [])

@@ -32,9 +32,8 @@
 - The per-instance head (`class_probabilities`: an instance's n x d input
   matrix, `conv_relu_max`, dropout and the softmax of `w1 @ z + b1`), the
   serial `loss` built from it instance after instance, and the serial
-  `predict_pairs`: the paths that the batched head of `model.loss`,
-  `model.forward` and `model.predict` replaced, which sums in another
-  order.  Tests require
+  `predict_pairs`: the paths that the batched head of `model.loss` and
+  `model.forward` replaced, which sums in another order.  Tests require
   the same pairs and labels, and the loss, gradients and probabilities
   within the tolerances of `test_tolerance_oracle.py`.
 """

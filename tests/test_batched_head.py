@@ -1,7 +1,6 @@
 """The batched model head: `tensor.tap_projections`, `shift_sum`,
 `tap_sum_relu_max` and `linear`, and the batched `softmax` and
-`nll_loss`, in isolation and inside `model.loss`, `model.forward` and
-`model.predict`.
+`nll_loss`, in isolation and inside `model.loss` and `model.forward`.
 
 Every op passes `grad_check` below 1e-4, including the edges of the
 decomposition: one instance and several, one window per instance
@@ -236,44 +235,16 @@ def test_loss_grad_check(variant, n, k, size, rho):
 def test_forward_with_and_without_shared_projections(variant):
     params = head_model(variant, 6, 2, 0.5)
     batch = edge_batch(6)
-    [together] = M.predict([batch], params)
-    for inst, p in zip(batch, together):
-        alone = M.forward(inst, params, Rng(0))
-        assert alone.label == int(np.argmax(p))
-        assert_probabilities_close(alone.probabilities, p)
-
-
-@pytest.mark.parametrize("variant", M.VARIANTS)
-def test_predict_projects_each_group_once(variant, monkeypatch):
-    params = head_model(variant, 6, 2, 0.5)
-    batch = edge_batch(6)
-    groups = [batch[:2], [], batch[1:], batch[2:]]
-    first_columns = []
-    real = T.tap_projections
-
-    def tap_projections(x, filters, columns):
-        first_columns.append(columns[0].start)
-        return real(x, filters, columns)
-
-    monkeypatch.setattr(T, "tap_projections", tap_projections)
-    rows = M.predict(groups, params)
-    # One key projection (word columns first) per group, one per position table.
-    assert first_columns.count(0) == len(groups)
-    assert len(first_columns) == len(groups) + 2
-    assert [r.shape for r in rows] == [(len(g), len(M.CLASS_ORDER)) for g in groups]
-    for group, probabilities in zip(groups, rows):
-        for inst, p in zip(group, probabilities):
-            alone = M.forward(inst, params, Rng(0))
-            assert alone.label == int(np.argmax(p))
-            assert_probabilities_close(alone.probabilities, p)
-    assert M.predict([], params) == []
-    assert [r.shape for r in M.predict([[], []], params)] == [(0, 2), (0, 2)]
-    # Every instance is checked before any work.
-    bad = RelationInstance("x#1", "x", ["mice", "aspirin"], 0, 6, "C", "D", 0)
-    first_columns.clear()
-    with pytest.raises(ValueError, match="entity indices"):
-        M.predict([batch, [bad]], params)
-    assert first_columns == []
+    shared = M.projections(batch, params)
+    for inst in batch:
+        alone, together = M.forward(inst, params, Rng(0)), M.forward(inst, params, Rng(0),
+                                                                     shared=shared)
+        assert alone.label == together.label
+        assert_probabilities_close(alone.probabilities, together.probabilities)
+    # "induced" is in no instance of the second and third.
+    other = RelationInstance("x#0", "x", ["induced", "mice"], 0, 1, "C", "D", 0)
+    with pytest.raises(ValueError, match="lack"):
+        M.forward(other, params, Rng(0), shared=M.projections(batch[1:], params))
 
 
 @pytest.mark.parametrize("variant", M.VARIANTS)
@@ -296,3 +267,18 @@ def test_forward_rejects_an_entity_beyond_the_tokens():
     bad = RelationInstance("x#1", "x", ["mice", "aspirin"], 0, 6, "C", "D", 0)
     with pytest.raises(ValueError, match="entity indices"):
         M.forward(bad, params, Rng(0))
+
+
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_a_rejected_instance_draws_no_dropout_uniforms(variant):
+    """Instances are checked before dropout draws from `rng`, so a caller
+    that catches the error goes on with the stream it had."""
+    params = head_model(variant, 5, 2, 0.5)
+    good = edge_batch(5)[0]
+    bad = RelationInstance("x#1", "x", ["mice", "aspirin"], 0, 6, "C", "D", 0)
+    rng = Rng(3)
+    with pytest.raises(ValueError, match="entity indices"):
+        M.forward(bad, params, rng, training=True)
+    with pytest.raises(ValueError, match="entity indices"):
+        M.loss([good, bad], params, rng)
+    assert rng.next_u64() == Rng(3).next_u64()

@@ -126,8 +126,10 @@ def loss_grads_and_probabilities(params):
         t.grad = None
     total = M.loss(batch(), params, Rng(9))  # rho = 0.5: the same dropout masks each run
     total.backward()
+    shared = M.projections(batch(), params)
     probs = ([M.forward(inst, params, Rng(1)).probabilities.tobytes() for inst in batch()]
-             + [M.predict([batch()], params)[0].tobytes()])
+             + [M.forward(inst, params, Rng(1), shared=shared).probabilities.tobytes()
+                for inst in batch()])
     return total.data.tobytes(), {name: t.grad_buffer().tobytes() for name, t in named}, probs
 
 

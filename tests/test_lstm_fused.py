@@ -60,8 +60,10 @@ def loss_and_grads(batch, params):
 def probabilities(batch, params):
     """Per-instance encodings and the batch's forms encoded in one call
     (the inference layout)."""
+    shared = M.projections(batch, params)
     return ([M.forward(inst, params, Rng(1)).probabilities.tobytes() for inst in batch]
-            + [M.predict([batch], params)[0].tobytes()])
+            + [M.forward(inst, params, Rng(1), shared=shared).probabilities.tobytes()
+               for inst in batch])
 
 
 def assert_matches_oracle(batch, params):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import oracle
-from cdrex import encoders
 from cdrex import model as M
 from cdrex import tensor as T
 from cdrex.corpus import RelationInstance, Vocab
@@ -106,36 +105,28 @@ class TestGraphFreeForward:
         assert seen[0]._parents == () and not seen[0].requires_grad
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_shared_cache_matches_the_graph_oracle(self, variant, monkeypatch):
+    def test_shared_cache_matches_the_graph_oracle(self, variant):
         """Every instance reads its rows from one shared encoding of all
-        the instances' forms, as at inference (`model.predict`)."""
+        the instances' forms, as at inference."""
         params = unit_scale(tiny_model(variant=variant))
         instances = [make_instance(),
                      make_instance(tokens=("mice", "tumors", "aspirin"), i1=2, i2=1, uid="doc1#1"),
                      make_instance(tokens=("headache", "Aspirin"), i1=1, i2=0, uid="doc1#2"),
                      make_instance(uid="doc1#3")]
-        encodings = []
-        real = encoders.char_rows
-
-        def char_rows(*args):
-            encodings.append(real(*args))
-            return encodings[-1]
-
-        with monkeypatch.context() as patch:
-            patch.setattr(encoders, "char_rows", char_rows)
-            [rows] = M.predict([instances], params)
-        for inst, p in zip(instances, rows):
+        shared = M.projections(instances, params)
+        for inst in instances:
+            pred = forward(inst, params, Rng(1), shared=shared)
             # The reference encodes each instance's forms afresh, with the
             # graph, characters through the per-word, per-step graph.
             with oracle.per_word_graph():
                 reference = oracle.class_probabilities(inst, params, Rng(1), training=False)
             assert reference.requires_grad
-            assert_probabilities_close(p, reference.data)
-            assert int(np.argmax(p)) == int(np.argmax(reference.data))
+            assert_probabilities_close(pred.probabilities, reference.data)
+            assert pred.label == int(np.argmax(reference.data))
         if variant == "cnn":
-            assert encodings == []
+            assert shared.chars is None
         else:
-            [(encoded, slot)] = encodings
+            encoded, slot = shared.chars
             assert list(slot) == ["aspirin", "causes", "headache", "PAD", "mice", "tumors",
                                   "Aspirin"]
             assert encoded.shape == (7, params.char_params.out_dim)

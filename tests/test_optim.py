@@ -34,7 +34,7 @@ from cdrex.optim import (
 )
 from cdrex.rng import Rng
 from cdrex.tensor import NumericsError, Tensor, graph_nodes
-from test_tolerance_oracle import assert_probabilities_close, spy_predict
+from test_tolerance_oracle import assert_probabilities_close
 
 
 # ---------------------------------------------------------------------------
@@ -608,20 +608,27 @@ class TestGraphFreeInference:
     def test_predict_pairs_matches_graph_oracle(self, variant, monkeypatch):
         split = synthetic_split(8)
         params = inference_model(variant, split)
-        seen = spy_predict(monkeypatch)
+        seen = {}
+        real_forward = M.forward
+
+        def forward(inst, *args, **kwargs):
+            seen[inst.uid] = (inst, real_forward(inst, *args, **kwargs))
+            return seen[inst.uid][1]
+
+        monkeypatch.setattr(M, "forward", forward)
         train_rel = training_relations(split.documents[:4])
         pairs = predict_pairs(split, params, train_rel)
         assert set(seen) == {inst.uid for inst in split.instances}
         labels = {}
-        for uid, (fitted, p) in seen.items():
+        for uid, (fitted, pred) in seen.items():
             # The reference: a per-instance encoding with the graph enabled,
             # characters through the per-word, per-step graph.
             with oracle.per_word_graph():
                 reference = oracle.class_probabilities(fitted, params, Rng(0), training=False)
             assert reference.requires_grad
-            assert_probabilities_close(p, reference.data)
+            assert_probabilities_close(pred.probabilities, reference.data)
             labels[uid] = int(np.argmax(reference.data))
-            assert int(np.argmax(p)) == labels[uid]
+            assert pred.label == labels[uid]
         assert set(labels.values()) == {0, 1}
         for doc in split.documents:
             instances = [inst for inst in split.instances if inst.pmid == doc.pmid]
@@ -678,13 +685,27 @@ class TestGraphFreeInference:
             assert np.array_equal(after[name], before[name]), name
 
 
+def spy_forward(monkeypatch) -> dict[str, bytes]:
+    """uid -> probability bytes of every `model.forward` call from here on."""
+    seen = {}
+    real = M.forward
+
+    def forward(inst, *args, **kwargs):
+        pred = real(inst, *args, **kwargs)
+        seen[inst.uid] = pred.probabilities.copy()
+        return pred
+
+    monkeypatch.setattr(M, "forward", forward)
+    return seen
+
+
 def other_threads() -> set[threading.Thread]:
     return {t for t in threading.enumerate() if t is not threading.main_thread()}
 
 
-class TestPredictPairsBatched:
-    """`predict_pairs`, one `model.predict` call per split, against the
-    serial per-instance loop of the oracle, and its failures."""
+class TestPredictPairsSerialLoop:
+    """`predict_pairs` against the serial per-instance loop of the oracle,
+    and its failures, on the calling thread."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("variant", M.VARIANTS)
@@ -693,28 +714,28 @@ class TestPredictPairsBatched:
         params = inference_model(variant, split, seed)
         train_rel = training_relations(split.documents[:4])
         reference = oracle.predict_pairs(split, params, train_rel)
-        seen = spy_predict(monkeypatch)
+        seen = spy_forward(monkeypatch)
         params.tables.word_rows.clear()
         pairs = predict_pairs(split, params, train_rel)
         assert pairs == reference
         assert seen.keys() == {inst.uid for inst in split.instances}
         for inst in split.instances:
             expected = oracle.class_probabilities(inst, params, None, training=False).data
-            assert_probabilities_close(seen[inst.uid][1], expected)
+            assert_probabilities_close(seen[inst.uid], expected)
 
     def test_earliest_failure_raised_on_the_calling_thread(self, monkeypatch):
         split = synthetic_split(12)
         params = inference_model("cnn", split)
         uids = [inst.uid for inst in split.instances]
         failing = {uids[3], uids[7]}
-        real = encoders.padded_tokens
+        real = M.forward
 
-        def padded_tokens(inst, *args, **kwargs):
+        def forward(inst, *args, **kwargs):
             if inst.uid in failing:
                 raise RuntimeError(inst.uid)
             return real(inst, *args, **kwargs)
 
-        monkeypatch.setattr(encoders, "padded_tokens", padded_tokens)
+        monkeypatch.setattr(M, "forward", forward)
         before = other_threads()
         w = Tensor(np.ones(2), requires_grad=True)
         for attempt in range(4):

@@ -19,15 +19,7 @@ match it within:
   RUN_LOSS_RTOL = 1e-9 relative, and dev P/R/F1, the best epoch, the
   predicted pairs and every dev label exactly equal.
 
-The dropout generator must also be left in the reference's state.
-
-`model.predict` classifies a group of instances together, and its rows
-are not bit-equal to `model.forward` on each instance alone: a batched
-output layer rounds most rows differently from a one-row product (by at
-most a few units in the last place), and a group's keys are projected in
-one product.  Both are held to PROB_ATOL of the reference.
-
-A path
+The dropout generator must also be left in the reference's state.  A path
 held to these tolerances changes the bits of model files and of train
 reports (which print losses with repr) between versions; same-seed runs of
 one version stay byte-identical, which other tests check.
@@ -130,19 +122,17 @@ def assert_probabilities_close(p: np.ndarray, reference: np.ndarray) -> None:
     assert float(np.max(np.abs(p - reference))) <= PROB_ATOL, (p, reference)
 
 
-def spy_predict(monkeypatch) -> dict:
-    """uid -> (fitted instance, probability row) of every `model.predict`
-    call from here on."""
+def spy_forward(monkeypatch) -> dict:
+    """uid -> (fitted instance, Prediction) of every `model.forward` call
+    from here on."""
     seen = {}
-    real = M.predict
+    real = M.forward
 
-    def predict(groups, params):
-        rows = real(groups, params)
-        for group, probabilities in zip(groups, rows):
-            seen.update((inst.uid, (inst, p)) for inst, p in zip(group, probabilities))
-        return rows
+    def forward(inst, *args, **kwargs):
+        seen[inst.uid] = (inst, real(inst, *args, **kwargs))
+        return seen[inst.uid][1]
 
-    monkeypatch.setattr(M, "predict", predict)
+    monkeypatch.setattr(M, "forward", forward)
     return seen
 
 
@@ -163,15 +153,15 @@ def test_probabilities_of_predict_pairs(variant, monkeypatch):
     margins = [np.diff(np.log(reference_probabilities(inst, params)))[0] for inst in batch]
     params.b1.data[0] += float(np.median(margins))
     split = optim.DataSplit([], batch)
-    seen = spy_predict(monkeypatch)
+    seen = spy_forward(monkeypatch)
     optim.predict_pairs(split, params, set())
     assert seen.keys() == {inst.uid for inst in batch}
     labels = set()
-    for fitted, p in seen.values():
+    for fitted, pred in seen.values():
         reference = reference_probabilities(fitted, params)
-        assert_probabilities_close(p, reference)
-        assert int(np.argmax(p)) == int(np.argmax(reference))
-        labels.add(int(np.argmax(p)))
+        assert_probabilities_close(pred.probabilities, reference)
+        assert pred.label == int(np.argmax(reference))
+        labels.add(pred.label)
     assert labels == {0, 1}
     for inst in batch:  # one instance at a time, with nothing shared
         pred = M.forward(inst, params, Rng(0))
