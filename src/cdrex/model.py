@@ -127,10 +127,14 @@ def init_model(vocab, variant: str, rng: Rng, *, m: int = 100, rho: float = 0.5,
                char_window: int = encoders.CHAR_CNN_WINDOW,
                lstm_units: int = encoders.LSTM_UNITS,
                pretrained: dict[str, np.ndarray] | None = None) -> ModelParams:
-    """Fresh parameters for a vocabulary (a corpus.Vocab: words, chars, n)."""
+    """Fresh parameters for a vocabulary (a corpus.Vocab: words, chars, n).
+    A window wider than the n rows is a ValueError, as it is a format
+    error in a model file."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     n = vocab.n
+    if k > n:
+        raise ValueError(f"window k={k} is wider than the n={n} rows")
     word = encoders.word_table(vocab.words, rng.derive("word"), dim=word_dim, pretrained=pretrained)
     pos1 = encoders.position_table("pos1", n, rng.derive("pos1"), dim=pos_dim)
     pos2 = encoders.position_table("pos2", n, rng.derive("pos2"), dim=pos_dim)
@@ -407,7 +411,7 @@ def _write_model(params: ModelParams, path) -> None:
             fh.write(struct.pack("<Q", tensor.data.ndim))
             for dim in tensor.data.shape:
                 fh.write(struct.pack("<Q", dim))
-            fh.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(tensor.data, dtype="<f8").data)  # no copy
 
 
 class _Reader:

@@ -26,6 +26,9 @@ _MIX2 = 0x94D049BB133111EB
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
+# Draws per block of `Rng.fill_uniform`: three uint64 scratch blocks of 128 KiB.
+FILL_BLOCK = 1 << 14
+
 
 def _mix(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
@@ -66,26 +69,32 @@ class Rng:
         """Array of uniforms identical to repeated `uniform` calls.
 
         The splitmix64 state advance is a fixed increment, so the next n
-        states are computed in one vectorized pass and the scalar and array
-        paths produce the same stream.  Every pass runs in place, through
-        one scratch array: the same integer and float operations, in the
-        same order, as the expressions of `next_u64` and `uniform`.
+        states are computed in vectorized passes and the scalar and array
+        paths produce the same stream.  The passes run in place over
+        FILL_BLOCK draws at a time, through block-sized scratch arrays,
+        into the output: the same integer and float operations, in the
+        same order, as the expressions of `next_u64` and `uniform`, with
+        no temporary the size of the output.
         """
         n = int(np.prod(shape)) if shape else 1
-        z = np.arange(1, n + 1, dtype=np.uint64)
-        z *= np.uint64(_GOLDEN)
-        z += np.uint64(self._state)
-        t = np.empty_like(z)
-        for shift, mix in ((30, _MIX1), (27, _MIX2)):
-            z ^= np.right_shift(z, np.uint64(shift), out=t)
-            z *= np.uint64(mix)
-        z ^= np.right_shift(z, np.uint64(31), out=t)
-        z >>= np.uint64(11)
+        u = np.empty(n)
+        steps = np.arange(1, min(n, FILL_BLOCK) + 1, dtype=np.uint64)
+        steps *= np.uint64(_GOLDEN)
+        z, t = np.empty_like(steps), np.empty_like(steps)
+        for start in range(0, n, FILL_BLOCK):
+            size = min(FILL_BLOCK, n - start)
+            zb, tb, ub = z[:size], t[:size], u[start:start + size]
+            np.add(steps[:size], np.uint64((self._state + start * _GOLDEN) & _MASK64), out=zb)
+            for shift, mix in ((30, _MIX1), (27, _MIX2)):
+                zb ^= np.right_shift(zb, np.uint64(shift), out=tb)
+                zb *= np.uint64(mix)
+            zb ^= np.right_shift(zb, np.uint64(31), out=tb)
+            zb >>= np.uint64(11)
+            ub[:] = zb
+            ub *= 2.0**-53
+            ub *= hi - lo
+            ub += lo
         self._state = (self._state + n * _GOLDEN) & _MASK64
-        u = z.astype(np.float64)
-        u *= 2.0**-53
-        u *= hi - lo
-        u += lo
         return u.reshape(shape)
 
     def randbelow(self, n: int) -> int:

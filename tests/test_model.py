@@ -237,15 +237,21 @@ class TestSerialization:
 
     def test_window_wider_than_the_rows(self, tmp_path):
         path = tmp_path / "model.bin"
-        for k in (3, 5):  # n = 3: one window, then none
-            save_model(init_model(tiny_vocab(n=3), "cnn", Rng(1), m=2, k=k, word_dim=4,
-                                  pos_dim=2), path)
-            if k == 3:
-                forward(make_instance(tokens=("mice",), i1=0, i2=0), load_model(path), Rng(1))
-                continue
-            with pytest.raises(ModelFormatError, match="k=5") as exc:
-                load_model(path)
-            assert exc.value.code == ModelFormatError.BAD_METADATA
+        # n = 3: one window; then the metadata claims k=5, which has none.
+        save_model(init_model(tiny_vocab(n=3), "cnn", Rng(1), m=2, k=3, word_dim=4, pos_dim=2),
+                   path)
+        forward(make_instance(tokens=("mice",), i1=0, i2=0), load_model(path), Rng(1))
+        blob = path.read_bytes()
+        assert blob.count(b'"k":3') == 1
+        path.write_bytes(blob.replace(b'"k":3', b'"k":5'))
+        with pytest.raises(ModelFormatError, match="k=5") as exc:
+            load_model(path)
+        assert exc.value.code == ModelFormatError.BAD_METADATA
+
+    def test_init_rejects_a_window_wider_than_the_rows(self):
+        init_model(tiny_vocab(n=3), "cnn", Rng(1), m=2, k=3, word_dim=4, pos_dim=2)
+        with pytest.raises(ValueError, match=r"window k=4 is wider than the n=3 rows"):
+            init_model(tiny_vocab(n=3), "cnn", Rng(1), m=2, k=4, word_dim=4, pos_dim=2)
 
     def test_every_truncation_and_bit_flip_loads_or_is_a_format_error(self, tmp_path):
         vocab = Vocab(words=["ab"], counts={"ab": 1}, chars=sorted(set("abPAD")), n=2)

@@ -20,6 +20,7 @@ from cdrex.optim import (
     GRID_FILTERS,
     GRID_LEARNING_RATES,
     NADAM_BLOCK,
+    NADAM_DENSE_SHARE,
     NadamState,
     TrainConfig,
     default_grid,
@@ -241,6 +242,137 @@ class TestBlockedNadam:
             assert same_bits(state.second[name], second), name
 
 
+class TestNadamReachedRows:
+    """The row path of `nadam_step` against the whole-array oracle, on
+    row-sparse gradients."""
+
+    @staticmethod
+    def sides(init: dict[str, np.ndarray], **hyper):
+        return [([(name, Tensor(data.copy(), requires_grad=True)) for name, data in init.items()],
+                 NadamState(**hyper)) for _ in range(2)]
+
+    @staticmethod
+    def row_sparse(rng, shape, rows) -> np.ndarray:
+        """A gradient whose leading-axis rows outside `rows` are all
+        +-0.0, and whose rows in it mix ordinary, zero, tiny and huge
+        values."""
+        g = np.zeros(shape) * np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+        for r in rows:
+            g[r] = TestNadamMatchesExpressionForm.gradient(rng, shape[1:], 0)
+        return g
+
+    def step_both(self, sides, grads):
+        (fast, fast_state), (ref, ref_state) = sides
+        for (name, a), (_, b) in zip(fast, ref):
+            a.grad, b.grad = grads[name], grads[name].copy()
+        nadam_step(fast, fast_state)
+        oracle.nadam_step(ref, ref_state)
+        assert fast_state.step == ref_state.step
+        for (name, a), (_, b) in zip(fast, ref):  # bytes, so NaNs compare too
+            assert a.data.tobytes() == b.data.tobytes(), (fast_state.step, name)
+            assert fast_state.first[name].tobytes() == ref_state.first[name].tobytes(), name
+            assert fast_state.second[name].tobytes() == ref_state.second[name].tobytes(), name
+
+    def test_rows_reached_at_different_steps_match_the_oracle(self):
+        rng = np.random.default_rng(11)
+        shapes = {"table": (40, 3), "filters": (12, 2, 5), "wide": (5, NADAM_BLOCK + 5),
+                  "vector": (6,), "scalar": ()}
+        init = {name: np.asarray(rng.normal(size=shape)) for name, shape in shapes.items()}
+        init["table"][30:] = -0.0  # never reached: must stay -0.0
+        sides = self.sides(init, learning_rate=0.01)
+        reach = {"table": [[3], [], [3, 17], [25, 4], [], [0]], "filters": [[5], [], [1, 11]] * 2,
+                 "wide": [[1], [], [1], [], [3], []]}
+        for step in range(6):
+            grads = {name: self.row_sparse(rng, shapes[name], reach[name][step]) for name in reach}
+            grads["vector"] = rng.normal(size=6)
+            grads["scalar"] = np.asarray(-0.0 if step % 2 else rng.normal())
+            self.step_both(sides, grads)
+        state = sides[0][1]
+        assert sorted(state.reached) == ["filters", "table", "wide"]
+        assert np.flatnonzero(state.reached["table"]).tolist() == [0, 3, 4, 17, 25]
+        assert same_bits(sides[0][0][0][1].data[30:], np.full((10, 3), -0.0))
+
+    def test_a_table_crossing_the_share_matches_the_oracle(self):
+        rng = np.random.default_rng(12)
+        rows = 10
+        sides = self.sides({"table": rng.normal(size=(rows, 4))}, learning_rate=0.05)
+        state = sides[0][1]
+        on_row_path = []
+        for step in range(6):
+            grads = {"table": self.row_sparse(rng, (rows, 4), [2 * step % rows, (2 * step + 1) % rows])}
+            self.step_both(sides, grads)
+            on_row_path.append("table" in state.reached)
+        below = int(NADAM_DENSE_SHARE * rows) // 2  # steps before the share: two new rows a step
+        assert on_row_path == [True] * below + [False] * (6 - below)
+
+    @pytest.mark.parametrize("share", [0.25, 0.75])
+    def test_the_row_path_runs_below_the_share_and_the_whole_array_above(self, monkeypatch,
+                                                                         share):
+        rows, cols = 100, 8
+        sizes = []
+        real = optim._update
+
+        def update(flat, *args):
+            sizes.append(flat[0].size)
+            return real(flat, *args)
+
+        monkeypatch.setattr(optim, "_update", update)
+        table = Tensor(np.ones((rows, cols)), requires_grad=True)
+        table.grad = np.zeros((rows, cols))
+        table.grad[:int(share * rows)] = 1.0
+        state = NadamState()
+        nadam_step([("table", table)], state)
+        if share < NADAM_DENSE_SHARE:
+            assert "table" in state.reached and sum(sizes) == int(share * rows) * cols
+        else:
+            assert "table" not in state.reached and sizes == [rows * cols]
+
+    def test_moments_made_before_the_first_step_take_the_whole_array_path(self):
+        table = Tensor(np.ones((4, 2)), requires_grad=True)
+        state = NadamState(first={"table": np.full((4, 2), 0.5)}, second={"table": np.ones((4, 2))})
+        table.grad = np.zeros((4, 2))
+        nadam_step([("table", table)], state)
+        assert "table" not in state.reached and (table.data < 1.0).all()
+
+    @pytest.mark.parametrize("hyper", [dict(learning_rate=-0.01), dict(eps=0.0),
+                                       dict(beta1=-0.5), dict(beta2=1.0)])
+    def test_hyperparameters_that_move_zero_rows_take_the_whole_array_path(self, hyper):
+        rng = np.random.default_rng(13)
+        init = {"table": rng.normal(size=(8, 3))}
+        init["table"][4:] = -0.0
+        sides = self.sides(init, **hyper)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for step in range(3):
+                self.step_both(sides, {"table": self.row_sparse(rng, (8, 3), [step])})
+        assert sides[0][1].reached == {}
+
+    def test_nan_in_a_row_never_reached_aborts_with_nothing_written(self):
+        rng = np.random.default_rng(14)
+        shapes = {"table": (20, 3), "bias": (3,), "later": (20, 3)}
+        named = [(name, Tensor(rng.normal(size=shape), requires_grad=True))
+                 for name, shape in shapes.items()]
+        state = NadamState(learning_rate=0.01)
+        for (name, tensor), rows in zip(named, ([2, 5], None, [2, 5])):
+            tensor.grad = rng.normal(size=3) if rows is None else self.row_sparse(rng, (20, 3), rows)
+        nadam_step(named, state)
+        before = {name: (t.data.copy(), state.first[name].copy(), state.second[name].copy())
+                  for name, t in named}
+        records = {name: mask.copy() for name, mask in state.reached.items()}
+        for (name, tensor), rows in zip(named, ([2, 9], None, [2])):
+            tensor.grad = rng.normal(size=3) if rows is None else self.row_sparse(rng, (20, 3), rows)
+        named[2][1].grad[11, 1] = np.nan
+        with pytest.raises(NumericsError, match="'later'"):
+            nadam_step(named, state)
+        assert state.step == 1 and sorted(records) == ["later", "table"]
+        for name, mask in records.items():
+            assert np.array_equal(state.reached[name], mask) and not mask[9] and not mask[11]
+        for name, tensor in named:
+            data, first, second = before[name]
+            assert same_bits(tensor.data, data), name
+            assert same_bits(state.first[name], first), name
+            assert same_bits(state.second[name], second), name
+
+
 # ---------------------------------------------------------------------------
 # Synthetic corpus helpers
 
@@ -326,6 +458,12 @@ class TestTrain:
         assert report.status == "untrained"
         assert report.best_epoch is None and report.model_path is None
         assert params is None
+
+    def test_window_wider_than_n_is_a_value_error(self):
+        split = synthetic_split(6)
+        assert build_vocab(split.documents, split.instances).n == 5
+        with pytest.raises(ValueError, match=r"window k=40 is wider than the n=5 rows"):
+            train(tiny_config(window=40, epochs=1), split, split)
 
     def test_identical_seeds_identical_loss_sequences(self):
         split = synthetic_split(8)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cdrex.rng import Rng
+from cdrex.rng import FILL_BLOCK, Rng
 
 
 def test_same_seed_same_sequence():
@@ -25,6 +25,18 @@ def test_fill_uniform_matches_scalar_stream():
     scalars = np.array([b.uniform(-1.0, 1.0) for _ in range(12)]).reshape(3, 4)
     np.testing.assert_array_equal(arr, scalars)
     # Streams stay in lockstep afterwards.
+    assert a.next_u64() == b.next_u64()
+
+
+@pytest.mark.parametrize("shape", [(FILL_BLOCK - 1,), (FILL_BLOCK,), (FILL_BLOCK + 1,),
+                                   (3, FILL_BLOCK // 2 + 1), ()])
+@pytest.mark.parametrize("seed", [77, 2**64 - 1])
+def test_fill_uniform_blocks_match_scalar_stream(shape, seed):
+    a, b = Rng(seed), Rng(seed)
+    arr = a.fill_uniform(shape, -0.05, 0.05)
+    scalars = np.array([b.uniform(-0.05, 0.05) for _ in range(arr.size)]).reshape(shape)
+    assert arr.shape == shape and arr.tobytes() == scalars.tobytes()
+    assert a._state == b._state
     assert a.next_u64() == b.next_u64()
 
 
