@@ -10,9 +10,8 @@ Gradients follow one rule: `Tensor.grad_buffer()` is the only place a
 gradient array is created, zero-filled on a tensor's first touch, and
 `Tensor.accumulate_grad` is the one place a backward rule writes into it:
 it adds in place, a whole array or a few rows or entries as a scatter.
-The one exception is `_accumulate_in_order`, the LSTM's batched form of
-many whole-array writes.  A tensor that no gradient reaches keeps `grad`
-None, and readers (Nadam, `grad_check`) see zeros through the same call.
+A tensor that no gradient reaches keeps `grad` None, and readers (Nadam,
+`grad_check`) see zeros through the same call.
 No gradient buffer ever holds -0.0: each starts as +0.0 zeros, or ones
 at the root, and only additions change it, and in round-to-nearest
 `x + y` is -0.0 only when both operands are.  So adding a few values into
@@ -77,25 +76,25 @@ one key need not agree bit for bit, while the same rows always give the
 same bits.
 
 `lstm_final_states` runs one LSTM direction over many sequences as a
-single node with a hand-written backward through time.  Its values and
-every gradient it passes on equal, bit for bit, those of the graph of
-scalar-step operations (`row`, `matmul`, `add`, `slice_last`, `sigmoid`,
-`tanh`, `mul`) that it replaces, because it repeats that graph's
-arithmetic: each elementwise expression keeps its operands and their
-order (sigmoid backward is `(g * s) * (1 - s)`, tanh backward
-`g * (1 - y * y)`), and `wh` and `b` receive one contribution per
-(sequence, step), sequences in order and each from its last step back to
-its first, added in that order.  The per-step graph stores each node's
-first gradient as `0.0 + g`, which changes only the sign of exact zeros;
-the op skips that inside, because products and sums keep such a
-difference confined to zeros and every leaf gradient is added into +0.0
-zeros, which erases it.  The `h @ wh` and
-`wh @ dgates` products run as stacks of matrix-vector products, which
-round as the single ones do.  The input projection `x_w @ wx` and its
-gradients `dX_w @ wx.T` and `x_w.T @ dX_w` stay one product per sequence:
-stacking the rows of all sequences into one product changes the BLAS
-blocking, and its rows then differ from the per-sequence products in the
-last bits (on 125 of 125 sequences of a 790-row stack, OpenBLAS 0.3.31).
+single node with a hand-written backward through time.  Its values equal,
+bit for bit, those of the graph of scalar-step operations (`row`,
+`matmul`, `add`, `slice_last`, `sigmoid`, `tanh`, `mul`) that it
+replaces: each step repeats that graph's arithmetic, the `h @ wh`
+products run as a stack of matrix-vector products, which round as the
+single ones do, and the input projection `x_w @ wx` stays one product per
+sequence, so a sequence's final state does not depend on the others
+(stacking the rows of all sequences into one product changes the BLAS
+blocking and the last bits, on 125 of 125 sequences of a 790-row stack,
+OpenBLAS 0.3.31).  The backward keeps the per-step graph's elementwise
+expressions (sigmoid backward is `(g * s) * (1 - s)`, tanh backward
+`g * (1 - y * y)`), but each step passes `dG @ wh.T` back as one
+product, and it collects every step's gate gradient dG by input row and
+takes the weight, bias and input gradients as whole-minibatch products:
+`x.T @ dG`, `H_prev.T @ dG`, a column sum of dG and `dG @ wx.T`.  Those
+sum over all sequences and steps at once, in the BLAS's order rather
+than the graph's, so the gradients differ from the per-step graph's in
+the last bits, within the tolerance that `tests/test_tolerance_oracle.py`
+states.
 """
 
 from __future__ import annotations
@@ -684,7 +683,8 @@ def lstm_final_states(x: Tensor, lengths: Sequence[int], wx: Tensor, wh: Tensor,
 
     from h = c = 0.  All sequences step in lockstep (longest first), and
     the result is one graph node; see the module docstring for why its
-    values and gradients equal those of a per-step graph bit for bit.
+    values equal those of a per-step graph bit for bit and its gradients
+    match them within a stated tolerance.
     """
     lengths = [int(n) for n in lengths]
     if x.data.ndim != 2 or wx.data.ndim != 2 or wh.data.ndim != 2 or b.data.ndim != 1:
@@ -733,8 +733,8 @@ def lstm_final_states(x: Tensor, lengths: Sequence[int], wx: Tensor, wh: Tensor,
             saved.append((h_prev, c_prev, ifo, g, tc))
 
     def backward(grad):
-        # Operands and their order as in the per-step graph; its `+ 0.0`
-        # on each first gradient is left out (see the module docstring).
+        # Each step's elementwise operands and their order as in the
+        # per-step graph; the sums over steps are the products below.
         dgates_at = np.empty((x.shape[0], 4 * u))  # by input row
         h_prev_at = np.empty((x.shape[0], u))
         dh_next = dc_next = np.empty((0, u))
@@ -753,45 +753,18 @@ def lstm_final_states(x: Tensor, lengths: Sequence[int], wx: Tensor, wh: Tensor,
             dgates_at[rows[s]] = dgates
             h_prev_at[rows[s]] = h_prev
             if s > 0:
-                dh_next = np.matmul(wh.data, dgates[:, :, None])[:, :, 0]
+                dh_next = dgates @ wh.data.T
                 dc_next = dc * ifo[:, u:2 * u]
-        spans = list(zip(offsets[:-1], offsets[1:]))
         if x.requires_grad:
-            for lo, hi in spans:
-                x.accumulate_grad(dgates_at[lo:hi] @ wx.data.T, slice(lo, hi))
+            x.accumulate_grad(dgates_at @ wx.data.T)
         if wx.requires_grad:
-            for lo, hi in spans:
-                wx.accumulate_grad(x.data[lo:hi].T @ dgates_at[lo:hi])
-        # wh and b take one contribution per (sequence, step): sequences in
-        # order, each from its last step to its first.
-        seq = np.concatenate([np.arange(lo, hi)[::1 if reverse else -1] for lo, hi in spans])
-        if b.requires_grad:
-            _accumulate_in_order(b, seq, lambda k, out: np.take(dgates_at, k, axis=0, out=out))
+            wx.accumulate_grad(x.data.T @ dgates_at)
         if wh.requires_grad:
-            _accumulate_in_order(wh, seq, lambda k, out: np.multiply(
-                h_prev_at[k][:, :, None], dgates_at[k][:, None, :], out=out))
+            wh.accumulate_grad(h_prev_at.T @ dgates_at)
+        if b.requires_grad:
+            b.accumulate_grad(dgates_at.sum(axis=0))
 
     return _result(final, (x, wx, wh, b), backward, "lstm_final_states")
-
-
-def _accumulate_in_order(t: Tensor, seq: np.ndarray, fill, chunk: int = 64) -> None:
-    """Add one contribution per entry of `seq` into `t.grad_buffer()`,
-    one after another, as that many `accumulate_grad` calls would.
-    `fill(k, out)` writes the contributions of the entries `k` into `out`.
-
-    `np.add.reduce` over the leading axis of a C-contiguous stack adds its
-    rows in sequence (a test pins this), so a stack that starts from the
-    current gradient gives the same bits.  One reused buffer holds the
-    stack: fresh megabyte temporaries cost several times the arithmetic.
-    This is the one backward helper that writes a buffer itself."""
-    acc = t.grad_buffer()
-    buf = np.empty((min(chunk, len(seq)) + 1,) + t.shape)
-    for lo in range(0, len(seq), chunk):
-        k = seq[lo:lo + chunk]
-        stack = buf[:len(k) + 1]
-        stack[0] = acc
-        fill(k, stack[1:])
-        np.add.reduce(stack, axis=0, out=acc)
 
 
 def max_over_time(feature_map: Tensor) -> Tensor:

@@ -4,7 +4,8 @@
   word encoded on its own: the encoder the fused
   `tensor.lstm_final_states` replaced.  Tests run the model through it
   (inside `per_word_graph()`) and require the fused path to give the same
-  loss, gradients and probabilities bit for bit.
+  loss, encodings and probabilities bit for bit, and the gradients within
+  the tolerance of `test_tolerance_oracle.py`.
 - `build_instances` scanning every token for each mention and each pair,
   which `corpus.build_instances` replaced with binary searches.  Tests
   require the same instances and warnings, in the same order.

@@ -207,25 +207,42 @@ def test_train_is_byte_identical_across_hash_seeds(corpora, variant):
     assert outputs[0] == outputs[1]
 
 
-def test_train_is_byte_identical_at_any_blas_thread_count(tmp_path):
-    """`cdrex train` pins OpenBLAS to one thread, so a model with products
-    large enough for OpenBLAS to split between threads (500 filters) is
-    written with the same bits whether OPENBLAS_NUM_THREADS is unset or 1."""
+def train_digests(tmp_path, variant: str, thread_counts) -> list[str]:
+    """The sha256 of the model that `cdrex train` writes in a fresh process
+    at each OPENBLAS_NUM_THREADS of `thread_counts` (None: unset), with
+    products large enough for OpenBLAS to split between threads (500
+    filters), all at one seed."""
     train, dev = tmp_path / "train.pubtator", tmp_path / "dev.pubtator"
     train.write_text(synthetic_corpus_text(40))
     dev.write_text(synthetic_corpus_text(12, start=40))
     env = dict(os.environ, PYTHONPATH=str(Path(cdrex.__file__).parents[1]))
     env.pop("OPENBLAS_NUM_THREADS", None)
     digests = []
-    for threads in (None, "1"):
-        out = tmp_path / f"threads-{threads}.model"
+    for run, threads in enumerate(thread_counts):
+        out = tmp_path / f"run-{run}.model"
         subprocess.run([sys.executable, "-m", "cdrex.cli", "train", "--train", str(train),
                         "--dev", str(dev), "--model-out", str(out), "--epochs", "2",
-                        "--filters", "500", "--batch-size", "16", "--seed", "3"],
+                        "--filters", "500", "--batch-size", "16", "--seed", "3",
+                        "--variant", variant],
                        check=True, capture_output=True, timeout=300,
                        env=env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads})
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    return digests
+
+
+def test_train_is_byte_identical_at_any_blas_thread_count(tmp_path):
+    """`cdrex train` pins OpenBLAS to one thread, so a model is written
+    with the same bits whether OPENBLAS_NUM_THREADS is unset or 1."""
+    digests = train_digests(tmp_path, "cnn", (None, "1"))
     assert digests[0] == digests[1]
+
+
+def test_lstmchar_train_is_byte_identical_at_any_blas_thread_count(tmp_path):
+    """The character BiLSTM's backward products reduce over every
+    character row of a minibatch; its model file, too, has the same bits
+    with OPENBLAS_NUM_THREADS unset or 1, and in two runs at 1."""
+    digests = train_digests(tmp_path, "cnn+lstmchar", (None, "1", "1"))
+    assert digests[0] == digests[1] == digests[2]
 
 
 class TestEvalCommand:

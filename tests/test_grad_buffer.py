@@ -21,6 +21,7 @@ from cdrex.corpus import RelationInstance, Vocab
 from cdrex.optim import zero_grads
 from cdrex.rng import Rng
 from cdrex.tensor import Tensor
+from test_lstm_fused import assert_gradients_match
 
 # "Zoë" and "tumors" stay out of the vocabulary: UNK words, an UNK char.
 WORDS = ["aspirin", "induced", "severe", "headache", "in", "mice", "a"]
@@ -91,11 +92,14 @@ def test_clamped_loss_old_rules_give_the_same_bits(variant, l2):
 
 def test_per_step_char_lstm_under_old_rules_matches_fused():
     """The fused op against the per-word graph, which goes through
-    `slice_last` and `row`, with that graph on the old rules."""
+    `slice_last` and `row`, with that graph on the old rules: the same
+    loss, and gradients within the fused op's tolerance."""
     params = variant_model("cnn+lstmchar", 0.001, unit_scale=True)
-    fused = loss_and_grads(params)
+    fused_loss, fused_grads = loss_and_grads(params)
     with oracle.old_gradient_rules(), oracle.per_word_graph():
-        assert loss_and_grads(params) == fused
+        old_loss, old_grads = loss_and_grads(params)
+    assert fused_loss == old_loss
+    assert_gradients_match(fused_grads, old_grads)
 
 
 def has_negative_zero(a: np.ndarray) -> bool:

@@ -22,7 +22,10 @@ match it within:
 The dropout generator must also be left in the reference's state.  A path
 held to these tolerances changes the bits of model files and of train
 reports (which print losses with repr) between versions; same-seed runs of
-one version stay byte-identical, which other tests check.
+one version stay byte-identical, which other tests check.  The character
+BiLSTM's backward as whole-minibatch products changed the last bits of
+`cnn+lstmchar` model files and train reports this way, with every value
+and probability kept.
 """
 
 from __future__ import annotations
