@@ -195,6 +195,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"{opt.flag}: path {path!r} does not exist")
     if not 0.0 <= cfg.dropout < 1.0:
         raise ConfigError(f"dropout must be in [0, 1), got {cfg.dropout}")
+    if not all(0.0 <= rate < np.inf for rate in (cfg.learning_rate, *cfg.grid_lambdas)):
+        raise ConfigError(f"lambda and grid_lambdas must be finite and >= 0, got "
+                          f"{cfg.learning_rate} and {cfg.grid_lambdas}")
     if cfg.epochs < 0 or cfg.batch_size < 1 or cfg.filters < 1:
         raise ConfigError("epochs must be >= 0, batch_size and filters >= 1")
     return cfg
@@ -439,8 +442,8 @@ def _op_checks(rng: Rng) -> float:
         check(lambda r=reverse: T.sum_all(
             T.mul(T.lstm_final_states(seqs, [1, 2, 5], *lstm, r), mix)), [seqs] + lstm)
 
-    weights = T.Tensor(rng.fill_uniform((4,), -1, 1))
-    check(lambda: T.sum_all(T.mul(T.conv_relu_max(inp, filt, bias), weights)), [inp, filt, bias])
+    weights = T.Tensor(rng.fill_uniform((2, 4), -1, 1))  # lengths 2 (one window) and 4
+    check(lambda: T.sum_all(T.mul(T.conv_relu_max(inp, [2, 4], filt, bias), weights)), [inp, filt, bias])
 
     # The batched head: each row's tap projections, a table's shift sum,
     # two instances' maps (n=4, L=3) and the batched output layer.

@@ -219,30 +219,28 @@ def _char_ids(word: str, table: EmbeddingTable, min_len: int = 1) -> list[int]:
 
 
 def char_cnn_encode(word: str, chartable: EmbeddingTable, params: CharEncoderParams) -> Tensor:
-    """Convolution over the character matrix, ReLU, then max pooling.
-    Words shorter than the window are right-padded with PADCHAR."""
-    window = params.filters.shape[1]
-    mat = T.gather(chartable.weights, _char_ids(word, chartable, min_len=window))
-    return T.conv_relu_max(mat, params.filters, params.bias)
-
-
-def char_bilstm_encode(word: str, chartable: EmbeddingTable, params: CharEncoderParams) -> Tensor:
-    """The (2u,) encoding of one word; see `encode_chars`."""
+    """The (d3,) encoding of one word by either encoder; see `encode_chars`."""
     return T.row(encode_chars((word,), chartable, params), 0)
+
+
+char_bilstm_encode = char_cnn_encode
 
 
 def encode_chars(forms: tuple[str, ...], chartable: EmbeddingTable,
                  params: CharEncoderParams) -> Tensor:
-    """(F, d3) encodings, row f for forms[f]: the char-CNN's per form,
-    stacked, or the BiLSTM's final forward and reverse states, each
-    direction one op over all the forms in lockstep.  A row's bits do not
-    depend on the other forms."""
+    """(F, d3) encodings, row f for forms[f]: every form's characters
+    (right-padded with PADCHAR to the char-CNN's window) in one gather,
+    then one `conv_relu_max` node over all the forms for the CNN, or one
+    `lstm_final_states` node per direction for the BiLSTM, the final
+    forward and reverse states.  A row's bits do not depend on the other
+    forms."""
+    window = params.filters.shape[1] if params.variant == "cnn" else 1
+    ids = [_char_ids(word, chartable, window) for word in forms]
+    mat = T.gather(chartable.weights, [i for word_ids in ids for i in word_ids])
+    lengths = [len(word_ids) for word_ids in ids]
     if params.variant == "cnn":
-        return T.stack_rows([char_cnn_encode(word, chartable, params) for word in forms])
+        return T.conv_relu_max(mat, lengths, params.filters, params.bias)
     if params.variant == "bilstm":
-        ids = [_char_ids(word, chartable) for word in forms]
-        mat = T.gather(chartable.weights, [i for word_ids in ids for i in word_ids])
-        lengths = [len(word_ids) for word_ids in ids]
         return T.concat([T.lstm_final_states(mat, lengths, p.wx, p.wh, p.b, reverse)
                          for p, reverse in ((params.fwd, False), (params.bwd, True))])
     raise ValueError(f"unknown character encoder variant {params.variant!r}")

@@ -32,26 +32,26 @@ one thread's `no_grad` never turns graph recording off in another, and
 the thread's previous state comes back when the block exits, also on an
 exception.
 
-`conv_relu_max` runs a convolution, its ReLU and the max over time as
-one node, in place of the chain `conv1d_valid → relu → max_over_time`
-(kept as its test oracle).  The forward repeats the chain's arithmetic:
-the bias plus the k tap products in tap order, `np.maximum(pre, 0)` and
-the first-occurrence argmax of the ReLU'd map.  Max pooling sends column
-f's gradient to one row, `argmax[f]`, and ReLU only where the value is
-positive, so the chain's (L, m) map gradient G holds `gz = g * (value >
-0)` at the argmax rows (up to the sign of a zero) and zeros elsewhere.
-Entry (f, h, j) of the chain's filter gradient `G.T @ input[h:h+L]` is
-then one product `gz[f] * input[argmax[f] + h, j]` plus zero terms, and
-entry f of its bias gradient, a column sum of G, is `gz[f]` plus zeros.
-A sum of one value and zeros is that value, up to the sign of a zero
-result, and no buffer holds -0.0 (see above), so adding the products
-alone, gathered from the argmax windows, leaves every gradient bit as
-the GEMMs do; the columns whose `gz` is zero, about half of them under
-dropout, are skipped.  The input gradient `G @ filters[:, h, :]` sums
-over all m columns with nonzero terms, so it stays the chain's dense
-product per tap, over a map that holds `gz` where G holds its values;
-taking it from the argmax rows alone reorders that sum and changes the
-last bits.
+`conv_relu_max` runs a convolution, its ReLU and the max over time over
+many sequences as one node, in place of the chain `conv1d_valid → relu →
+max_over_time` run sequence after sequence (kept as its test oracle).
+It convolves the sequences of one length as one stack, whose product
+numpy runs as one per stacked matrix, each rounded as on its own; so a
+row repeats its chain's arithmetic: the bias plus the k tap products in
+tap order, `np.maximum(pre, 0)` and the first-occurrence argmax.  Max
+pooling sends column f's gradient to one row, `argmax[f]`, and ReLU only
+where the value is positive, so the chain's (L, m) map gradient G holds
+`gz = g * (value > 0)` at the argmax rows (up to the sign of a zero) and
+zeros elsewhere.  Entry (f, h, j) of the chain's filter gradient `G.T @
+input[h:h+L]` is then one product `gz[f] * input[argmax[f] + h, j]` plus
+zero terms, and entry f of its bias gradient is `gz[f]` plus zeros.  A
+sum of one value and zeros is that value, up to the sign of a zero, and
+no buffer holds -0.0 (see above), so the op adds the products alone,
+sequence after sequence as the chain does, and skips the columns whose
+`gz` is zero, about half of them under dropout.  The input gradient `G @
+filters[:, h, :]` sums over all m columns, so it stays the chain's dense
+product per tap, stacked per length; taking it from the argmax rows
+alone reorders that sum and changes the last bits.
 
 The model's own convolution runs decomposed (see `model.loss`): the
 conv is linear in the concatenated input row, so `tap_projections`
@@ -459,9 +459,9 @@ def _conv_forward(input: np.ndarray, filters: np.ndarray, bias: np.ndarray,
                   k: int, length: int) -> np.ndarray:
     # k slim matrix products over contiguous row slices, added in tap
     # order onto the bias; no (L, k*d) window matrix is materialized.
-    out = np.broadcast_to(bias, (length, bias.shape[0])).copy()
+    out = np.broadcast_to(bias, input.shape[:-2] + (length, bias.shape[0])).copy()
     for h in range(k):
-        out += input[h:h + length] @ filters[:, h, :].T
+        out += input[..., h:h + length, :] @ filters[:, h, :].T
     return out
 
 
@@ -470,8 +470,8 @@ def conv1d_valid(input: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
 
     input is (n, d), filters (m, k, d), bias (m,); the output row j, column
     f is sum_h dot(filters[f][h], input[j+h]) + bias[f], shape (n-k+1, m).
-    The model runs `conv_relu_max`; this op, `relu` and `max_over_time`
-    are the chain it replaced, kept as its test oracle.
+    The char-CNN runs `conv_relu_max`; this op, `relu` and `max_over_time`
+    are the chain it replaced, kept per sequence as its test oracle.
     """
     k, length = _conv_shape("conv1d_valid", input, filters, bias)
     out_data = _conv_forward(input.data, filters.data, bias.data, k, length)
@@ -489,39 +489,52 @@ def conv1d_valid(input: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
     return _result(out_data, (input, filters, bias), backward, "conv1d_valid")
 
 
-def conv_relu_max(input: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
-    """Max over time of the ReLU of a valid 1-D convolution, shape (m,).
+def conv_relu_max(x: Tensor, lengths: Sequence[int], filters: Tensor, bias: Tensor) -> Tensor:
+    """Max over time of the ReLU of a valid 1-D convolution of each of W
+    sequences, shape (W, m).
 
-    One node with the values of `max_over_time(relu(conv1d_valid(input,
-    filters, bias)))`, bit for bit, and the same gradients; see the
-    module docstring.  Column f's gradient flows through its first
-    maximal row `argmax[f]` only, and not at all where the value is 0.
+    x stacks the sequences' rows, (sum(lengths), d), as in
+    `lstm_final_states`; every length is at least the filter width k.  Row
+    w has the values of `max_over_time(relu(conv1d_valid(x_w, filters,
+    bias)))` on sequence w's rows x_w, bit for bit, and the gradients of
+    that chain run sequence after sequence; see the module docstring.
     """
-    k, length = _conv_shape("conv_relu_max", input, filters, bias)
-    fm = _conv_forward(input.data, filters.data, bias.data, k, length)
-    np.maximum(fm, 0.0, out=fm)
-    argmax = fm.argmax(axis=0)
-    cols = np.arange(fm.shape[1])
-    value = fm[argmax, cols]
+    k, _ = _conv_shape("conv_relu_max", x, filters, bias)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.ndim != 1 or not lengths.size or lengths.min() < k or lengths.sum() != x.shape[0]:
+        raise ShapeError(f"conv_relu_max: lengths {lengths.tolist()} must be >= {k} and sum to {x.shape[0]}")
+    m, starts = bias.shape[0], np.cumsum(lengths) - lengths
+    # Per length n: a mask of the sequences that long and their (G, n) rows.
+    groups = [(lengths == n, starts[lengths == n, None] + np.arange(n)) for n in np.unique(lengths)]
+    value, argmax = np.empty((lengths.size, m)), np.empty((lengths.size, m), dtype=np.intp)
+    for seqs, rows in groups:
+        fm = _conv_forward(x.data[rows], filters.data, bias.data, k, rows.shape[1] - k + 1)
+        np.maximum(fm, 0.0, out=fm)
+        argmax[seqs] = fm.argmax(axis=1)
+        value[seqs] = np.take_along_axis(fm, argmax[seqs, None], axis=1)[:, 0]
 
     def backward(g):
         gz = g * (value > 0.0)
-        if bias.requires_grad:
-            bias.accumulate_grad(gz)
+        if bias.requires_grad:  # row after row, as sequence after sequence
+            bias.accumulate_grad(gz.reshape(-1), np.tile(np.arange(m), lengths.size), repeats=True)
         if filters.requires_grad:
-            # Entry (f, h, j) of the chain's filter GEMM is one product;
+            # Entry (f, h, j) takes one product per live (w, f), in w order;
             # columns with no gradient would add only zeros.
-            live = np.flatnonzero(gz)
-            windows = input.data[argmax[live, None] + np.arange(k)]
-            windows *= gz[live, None, None]
-            filters.accumulate_grad(windows, live)
-        if input.requires_grad:
-            dense = np.zeros((length, cols.size))
-            dense[argmax, cols] = gz
-            for h in range(k):
-                input.accumulate_grad(dense @ filters.data[:, h, :], slice(h, h + length))
+            w, f = np.nonzero(gz)
+            windows = x.data[(starts[w] + argmax[w, f])[:, None] + np.arange(k)]
+            windows *= gz[w, f, None, None]
+            filters.accumulate_grad(windows, f, repeats=True)
+        if x.requires_grad:
+            for seqs, rows in groups:
+                length = rows.shape[1] - k + 1
+                dense = np.zeros((rows.shape[0], length, m))
+                np.put_along_axis(dense, argmax[seqs, None], gz[seqs, None], axis=1)
+                dx = np.zeros(rows.shape + x.shape[1:])
+                for h in range(k):
+                    dx[:, h:h + length] += dense @ filters.data[:, h, :]
+                x.accumulate_grad(dx.reshape(rows.size, -1), rows.reshape(-1))
 
-    return _result(value, (input, filters, bias), backward, "conv_relu_max")
+    return _result(value, (x, filters, bias), backward, "conv_relu_max")
 
 
 def tap_projections(x: Tensor, filters: Tensor, columns: Sequence[slice]) -> Tensor:

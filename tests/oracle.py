@@ -1,11 +1,13 @@
 """Reference paths that faster source code replaced, kept for tests.
 
-- The character BiLSTM with one graph node per scalar LSTM step, each
-  word encoded on its own: the encoder the fused
-  `tensor.lstm_final_states` replaced.  Tests run the model through it
-  (inside `per_word_graph()`) and require the fused path to give the same
-  loss, encodings and probabilities bit for bit, and the gradients within
-  the tolerance of `test_tolerance_oracle.py`.
+- The character encoders one word at a time: the BiLSTM with one graph
+  node per scalar LSTM step, the encoder the fused
+  `tensor.lstm_final_states` replaced, and the char-CNN as the per-form
+  chain `gather → conv1d_valid → relu → max_over_time`, the encodings
+  stacked by `stack_rows`.  Tests run the model through it (inside
+  `per_word_graph()`) and require the fused path to give the same loss,
+  encodings and probabilities bit for bit, and the gradients within the
+  tolerance of `test_tolerance_oracle.py`.
 - `build_instances` scanning every token for each mention and each pair,
   which `corpus.build_instances` replaced with binary searches.  Tests
   require the same instances and warnings, in the same order.
@@ -17,12 +19,13 @@
   swapped in beneath `Tensor.accumulate_grad`'s signature, so backward
   rules write through it as they write through the real one.  Tests
   require the same loss and gradients, bit for bit.
-- The convolution as the three-node chain `conv1d_valid → relu →
-  max_over_time`, and `gather` scattering every gradient one row at a
-  time (inside `three_node_conv()`): the paths that the fused
-  `tensor.conv_relu_max` and `gather`'s slice-add and flat scatters
-  replaced.  Tests require the same loss, gradients and probabilities,
-  bit for bit.
+- The char-CNN as that per-form chain, each form's characters gathered
+  on their own, and `gather` scattering every gradient one row at a time
+  (inside `three_node_conv()`): the paths that the stacked
+  `tensor.conv_relu_max`, one node over all the forms, and `gather`'s
+  slice-add and flat scatters replaced.  `conv_relu_max` runs that chain
+  sequence after sequence with the stacked op's signature.  Tests require
+  the same loss, gradients and probabilities, bit for bit.
 - `unk_replace` drawing one `Rng.random()` per token, which one
   `fill_uniform` draw per instance replaced.  Tests require the same
   tokens and the same generator state afterwards.
@@ -31,7 +34,7 @@
   `optim.nadam_step` replaced.  Tests require the same parameters and
   moments, bit for bit.
 - The per-instance head (`class_probabilities`: an instance's n x d input
-  matrix, `conv_relu_max`, dropout and the softmax of `w1 @ z + b1`), the
+  matrix, the conv chain, dropout and the softmax of `w1 @ z + b1`), the
   serial `loss` built from it instance after instance, and the serial
   `predict_pairs`: the paths that the batched head of `model.loss` and
   `model.forward` replaced, which sums in another order.  Tests require
@@ -81,9 +84,22 @@ def char_bilstm_encode(word: str, chartable: EmbeddingTable, params: CharEncoder
     return T.concat([h_fwd, h_bwd])
 
 
+def conv_chain(input: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
+    """The (m,) max over time of the ReLU of one sequence's convolution."""
+    return T.max_over_time(T.relu(T.conv1d_valid(input, filters, bias)))
+
+
+def char_cnn_encode(word: str, chartable: EmbeddingTable, params: CharEncoderParams) -> Tensor:
+    """The conv chain over the word's characters, right-padded with
+    PADCHAR to the window."""
+    window = params.filters.shape[1]
+    mat = T.gather(chartable.weights, _char_ids(word, chartable, min_len=window))
+    return conv_chain(mat, params.filters, params.bias)
+
+
 def encode_chars(forms: tuple[str, ...], chartable: EmbeddingTable,
                  params: CharEncoderParams) -> Tensor:
-    encode = char_bilstm_encode if params.variant == "bilstm" else encoders.char_cnn_encode
+    encode = char_bilstm_encode if params.variant == "bilstm" else char_cnn_encode
     return T.stack_rows([encode(word, chartable, params) for word in forms])
 
 
@@ -217,8 +233,12 @@ def old_gradient_rules():
     return _replaced([(Tensor, "accumulate_grad", _accumulate_grad), (Tensor, "backward", _backward)])
 
 
-def conv_relu_max(input: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
-    return T.max_over_time(T.relu(T.conv1d_valid(input, filters, bias)))
+def conv_relu_max(x: Tensor, lengths, filters: Tensor, bias: Tensor) -> Tensor:
+    """`tensor.conv_relu_max` as the conv chain run sequence after
+    sequence, each over its rows of x gathered, the results stacked."""
+    offsets = np.cumsum([0] + list(lengths))
+    return T.stack_rows([conv_chain(T.gather(x, range(lo, hi)), filters, bias)
+                         for lo, hi in zip(offsets[:-1], offsets[1:])])
 
 
 def gather(table: Tensor, indices) -> Tensor:
@@ -234,11 +254,19 @@ def gather(table: Tensor, indices) -> Tensor:
     return T._result(table.data[idx], (table,), backward, "gather")
 
 
+_encode_chars = encoders.encode_chars
+
+
+def _per_form_cnn(forms: tuple[str, ...], chartable: EmbeddingTable,
+                  params: CharEncoderParams) -> Tensor:
+    return (encode_chars if params.variant == "cnn" else _encode_chars)(forms, chartable, params)
+
+
 def three_node_conv():
-    """Inside the block the model and the character CNN run the chain
-    `conv1d_valid → relu → max_over_time`, and every gather scatters
-    row by row."""
-    return _replaced([(T, "conv_relu_max", conv_relu_max), (T, "gather", gather)])
+    """Inside the block the character CNN encodes each form through its
+    own gather and conv chain, the rows stacked in order, and every
+    gather scatters row by row."""
+    return _replaced([(encoders, "encode_chars", _per_form_cnn), (T, "gather", gather)])
 
 
 def unk_replace(tokens: list[str], counts: dict[str, int], rng: Rng) -> list[str]:
@@ -291,8 +319,7 @@ def head(mat: Tensor, filters: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, rho
     """Probability vector over CLASS_ORDER from an input matrix: the
     convolution's max over time, dropout with `uniforms` (None at
     inference), and the softmax of `w1 @ z + b1`."""
-    z = T.conv_relu_max(mat, filters, bias)
-    z = T.dropout(z, rho, uniforms)
+    z = T.dropout(conv_chain(mat, filters, bias), rho, uniforms)
     return T.softmax(T.add(T.matmul(w1, z), b1))
 
 

@@ -245,6 +245,14 @@ def test_lstmchar_train_is_byte_identical_at_any_blas_thread_count(tmp_path):
     assert digests[0] == digests[1] == digests[2]
 
 
+def test_cnnchar_train_is_byte_identical_at_any_blas_thread_count(tmp_path):
+    """The character CNN convolves the forms of one length as a stack of
+    products; its model file, too, has the same bits with
+    OPENBLAS_NUM_THREADS unset or 1, and in two runs at 1."""
+    digests = train_digests(tmp_path, "cnn+cnnchar", (None, "1", "1"))
+    assert digests[0] == digests[1] == digests[2]
+
+
 class TestEvalCommand:
     def trained_model(self, corpora, capsys, extra=(), name="model.bin"):
         model_path = corpora["dir"] / name
@@ -518,6 +526,26 @@ class TestArgumentHandling:
     def test_invalid_dropout_rejected(self, corpora):
         code = main(train_args(corpora, corpora["dir"] / "m.bin") + ["--dropout", "1.0"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("rate", ["-0.001", "nan", "inf", "-inf"])
+    def test_negative_or_non_finite_lambda_rejected(self, corpora, tmp_path, capsys, rate):
+        # A negative rate would run gradient ascent; nan or inf would
+        # train an epoch of NaNs before failing.
+        model_path = tmp_path / "m.bin"
+        assert main(train_args(corpora, model_path, [f"--lambda={rate}"])) == EXIT_CONFIG
+        assert "lambda" in capsys.readouterr().err
+        config = tmp_path / "rate.cfg"
+        for line in (f"lambda = {rate}", f"grid_lambdas = 0.001,{rate}"):
+            config.write_text(line + "\n")
+            assert main(train_args(corpora, model_path, ["--config", str(config)])) == EXIT_CONFIG
+            assert "grid_lambdas" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_zero_lambda_accepted(self, tmp_path):
+        config = tmp_path / "rate.cfg"
+        config.write_text("lambda = 0.0\ngrid_lambdas = 0.0,0.001\n")
+        cfg = resolve_config(build_parser().parse_args(["train", "--config", str(config)]))
+        assert (cfg.learning_rate, cfg.grid_lambdas) == (0.0, (0.0, 0.001))
 
 
 def test_gradcheck_suite_single_seed_fast_path():

@@ -1,5 +1,8 @@
+import importlib.util
 import io
 import logging
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 import oracle
 from conftest import synthetic_corpus_text
 from cdrex.corpus import (
+    DEFAULT_MAX_TOKENS,
     Document,
     Mention,
     ParseError,
@@ -284,6 +288,40 @@ def test_build_instances_matches_scanning_oracle_on_synthetic_corpus():
         for n_max in (2, 4, 400):
             expected = instances_and_warnings(oracle.build_instances, doc, n_max)
             assert instances_and_warnings(build_instances, doc, n_max) == expected
+
+
+def benchmark_corpusgen():
+    """The benchmark's corpus generator, `cdrexbench/corpusgen.py`,
+    loaded by path and only read."""
+    path = Path(__file__).resolve().parents[1] / "cdrexbench" / "corpusgen.py"
+    name = "cdrexbench_corpusgen"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("n_max", [DEFAULT_MAX_TOKENS, 60, 12])
+def test_build_instances_at_scale_on_long_documents(n_max):
+    """Documents shaped like BC5CDR abstracts, with many mentions each:
+    the same instances and warnings as the scanning oracle, and every
+    instance well formed."""
+    corpusgen = benchmark_corpusgen()
+    docs = parse_pubtator(corpusgen.generate(corpusgen.LONG, seed=17, docs=4))
+    built = 0
+    for doc in docs:
+        instances, warnings = instances_and_warnings(build_instances, doc, n_max)
+        assert (instances, warnings) == instances_and_warnings(oracle.build_instances, doc, n_max)
+        for inst in instances:
+            assert 1 <= len(inst.tokens) <= n_max
+            assert 0 <= inst.i1 < len(inst.tokens) and 0 <= inst.i2 < len(inst.tokens)
+            assert inst.i1 != inst.i2
+            assert inst.label == int((inst.chem_id, inst.dis_id) in doc.gold_cid)
+        built += len(instances)
+    assert built >= 30
+    labels = {inst.label for doc in docs for inst in build_instances(doc, n_max)}
+    assert labels == {0, 1}
 
 
 # Words with leading and trailing punctuation, abbreviations and sentence

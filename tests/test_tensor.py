@@ -415,8 +415,20 @@ class TestGradCheck:
         inp = t(rng.fill_uniform((6, 3), -1, 1), requires_grad=True)
         filt = t(rng.fill_uniform((4, 2, 3), -1, 1), requires_grad=True)
         bias = t(rng.fill_uniform((4,), -1, 1), requires_grad=True)
-        mix = t(rng.fill_uniform((4,), -1, 1))
-        err = grad_check(lambda: sum_all(mul(T.conv_relu_max(inp, filt, bias), mix)),
+        mix = t(rng.fill_uniform((1, 4), -1, 1))
+        err = grad_check(lambda: sum_all(mul(T.conv_relu_max(inp, [6], filt, bias), mix)),
+                         [inp, filt, bias], eps=1e-4)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stacked_conv_relu_max(self, seed):
+        # Four sequences, two of them one window long, out of order.
+        rng = Rng(seed)
+        inp = t(rng.fill_uniform((13, 3), -1, 1), requires_grad=True)
+        filt = t(rng.fill_uniform((4, 2, 3), -1, 1), requires_grad=True)
+        bias = t(rng.fill_uniform((4,), -1, 1), requires_grad=True)
+        mix = t(rng.fill_uniform((4, 4), -1, 1))
+        err = grad_check(lambda: sum_all(mul(T.conv_relu_max(inp, [5, 2, 4, 2], filt, bias), mix)),
                          [inp, filt, bias], eps=1e-4)
         assert err < 1e-4
 
