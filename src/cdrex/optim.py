@@ -7,15 +7,19 @@ rates (no momentum schedule):
     m_hat = m_t / (1-b1^t)         v_hat = v_t / (1-b2^t)
     step  = lr * (b1*m_hat + (1-b1)*g/(1-b1^t)) / (sqrt(v_hat) + eps)
 
+b1, b2 and eps are the paper's fixed BETA1, BETA2 and EPS; only the
+learning rate varies, and `NadamState` rejects one that is negative or
+not finite.
+
 For a parameter of two or more dimensions, the update skips the
 leading-axis rows (word-table rows, say) that no gradient has reached
 yet, and the bits cannot move.  Such a row has m = v = +0.0, as the
 moments start as zeros, and a gradient of all +-0.0.  With 0 <= b1 < 1,
-0 <= b2 < 1, eps > 0 and a finite learning rate >= 0 (`nadam_step`
-checks this), b1*(+0) + (1-b1)*(+-0) is +0, since +0 + -0 rounds to +0,
-and likewise for v, so both moments stay +0.0.  The numerator
-b1*(+0/bias1) + ((1-b1)*(+-0))/bias1 is +0 by the same rule, the
-denominator sqrt(+0) + eps is eps > 0, and the step lr*(+0/eps) is +0.
+0 <= b2 < 1, eps > 0 and a finite learning rate >= 0, b1*(+0) +
+(1-b1)*(+-0) is +0, since +0 + -0 rounds to +0, and likewise for v, so
+both moments stay +0.0.  The numerator b1*(+0/bias1) +
+((1-b1)*(+-0))/bias1 is +0 by the same rule, the denominator
+sqrt(+0) + eps is eps > 0, and the step lr*(+0/eps) is +0.
 Then p - (+0) = p for every p, -0.0 included: model files, reports and
 moment arrays are those of the whole-array update.
 
@@ -63,23 +67,17 @@ NADAM_DENSE_SHARE = 0.5
 
 @dataclass
 class NadamState:
-    step: int = 0
-    beta1: float = BETA1
-    beta2: float = BETA2
-    eps: float = EPS
     learning_rate: float = 1e-4
-    first: dict[str, np.ndarray] = field(default_factory=dict)
-    second: dict[str, np.ndarray] = field(default_factory=dict)
+    step: int = field(default=0, init=False)
+    first: dict[str, np.ndarray] = field(default_factory=dict, init=False)
+    second: dict[str, np.ndarray] = field(default_factory=dict, init=False)
     # Per parameter on the row path: a mask of the leading-axis rows some
     # gradient has reached.  Absent for a parameter on the whole-array path.
-    reached: dict[str, np.ndarray] = field(default_factory=dict)
+    reached: dict[str, np.ndarray] = field(default_factory=dict, init=False)
 
-
-def _zero_rows_stay(state: NadamState) -> bool:
-    """Whether a row with zero moments and gradient steps by exactly +0.0
-    under these hyperparameters (the module docstring's argument)."""
-    return (0.0 <= state.beta1 < 1.0 and 0.0 <= state.beta2 < 1.0 and state.eps > 0.0
-            and 0.0 <= state.learning_rate < math.inf)
+    def __post_init__(self):
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
 
 
 def _update(flat: list[np.ndarray], state: NadamState, bias1: float, bias2: float,
@@ -87,7 +85,7 @@ def _update(flat: list[np.ndarray], state: NadamState, bias1: float, bias2: floa
     """The formulas of the module docstring, in place, over flat
     (parameter, gradient, first, second) arrays, NADAM_BLOCK elements at
     a time through two block-sized scratch arrays."""
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     for lo in range(0, flat[0].size, NADAM_BLOCK):
         p, g, m, v = (a[lo:lo + NADAM_BLOCK] for a in flat)
         s, u = scratch_s[:p.size], scratch_u[:p.size]
@@ -102,7 +100,7 @@ def _update(flat: list[np.ndarray], state: NadamState, bias1: float, bias2: floa
         np.divide(np.multiply(1.0 - b1, g, out=u), bias1, out=u)
         np.add(s, u, out=s)
         # s = lr * (s / (sqrt(v/bias2) + eps))
-        np.add(np.sqrt(np.divide(v, bias2, out=u), out=u), state.eps, out=u)
+        np.add(np.sqrt(np.divide(v, bias2, out=u), out=u), EPS, out=u)
         np.divide(s, u, out=s)
         p -= np.multiply(state.learning_rate, s, out=s)
 
@@ -121,9 +119,8 @@ def nadam_step(named_params: list[tuple[str, Tensor]], state: NadamState) -> Nad
     and written back; the module docstring says why the rows left out
     would have stepped by exactly zero.  Once more than
     NADAM_DENSE_SHARE of its rows are reached, the record is dropped and
-    the parameter takes the whole-array path for the rest of the run, as
-    every parameter does under hyperparameters for which that argument
-    fails.  The share is where the two paths cost the same: on an
+    the parameter takes the whole-array path for the rest of the run.
+    The share is where the two paths cost the same: on an
     11,142 x 200 table (the word table of a BC5CDR-sized vocabulary; one
     BLAS thread, 2-core x86-64 VM, median of 31 steps), the row path took
     8 / 12 / 22 / 27 / 30 / 35 / 37 ms at 5 / 12 / 30 / 40 / 50 / 55 / 60%
@@ -135,12 +132,11 @@ def nadam_step(named_params: list[tuple[str, Tensor]], state: NadamState) -> Nad
     module docstring, and every operation is elementwise, so the result
     is bit for bit that of evaluating them over whole arrays with a
     fresh array per operation."""
-    exact = _zero_rows_stay(state)
     plan = []
     for name, tensor in named_params:
         g = tensor.grad_buffer()
-        reached = state.reached.get(name) if exact else None
-        if reached is None and exact and g.ndim >= 2 and g.size and name not in state.first:
+        reached = state.reached.get(name)
+        if reached is None and g.ndim >= 2 and g.size and name not in state.first:
             reached = np.zeros(len(g), dtype=bool)
         if reached is None:
             if np.isnan(g).any():
@@ -155,8 +151,8 @@ def nadam_step(named_params: list[tuple[str, Tensor]], state: NadamState) -> Nad
         plan.append((name, tensor, reached))
     state.step += 1
     t = state.step
-    bias1 = 1.0 - state.beta1 ** t
-    bias2 = 1.0 - state.beta2 ** t
+    bias1 = 1.0 - BETA1 ** t
+    bias2 = 1.0 - BETA2 ** t
     scratch = (np.empty(NADAM_BLOCK), np.empty(NADAM_BLOCK))
     for name, tensor, reached in plan:
         m = state.first.get(name)
@@ -344,12 +340,14 @@ def train(config: TrainConfig, train_data: DataSplit, dev_data: DataSplit | None
 
     Both splits go through `fit_instances` once, before the first epoch:
     an instance whose entities do not fit in n tokens is skipped with one
-    warning, and ValueError is raised when no training instance fits.
+    warning, and ValueError is raised when no training instance fits, or,
+    before anything is built, for a negative or non-finite learning rate.
     Without a dev split the final-epoch parameters are returned and no F1
     is recorded.  A numeric failure during training, or any failure during
     dev evaluation, aborts the run but returns the partial report with
     status "aborted: ...".
     """
+    state = NadamState(learning_rate=config.learning_rate)
     if not train_data.instances:
         raise ValueError("training split has no instances")
     if vocab is None:
@@ -368,7 +366,6 @@ def train(config: TrainConfig, train_data: DataSplit, dev_data: DataSplit | None
         return report, None
 
     named = params.named_tensors()
-    state = NadamState(learning_rate=config.learning_rate)
     train_rel = training_relations(train_data.documents)
     instances = fit_instances(train_data.instances, vocab.n)
     if not instances:

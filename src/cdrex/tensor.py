@@ -364,13 +364,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data @ b.data, (a, b), backward, "matmul")
 
 
-def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
+def concat(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate along the last axis."""
     parts = list(parts)
     if not parts:
         raise ShapeError("concat: no operands")
-    if axis not in (-1, parts[0].data.ndim - 1):
-        raise ShapeError("concat: only the last axis is supported")
     widths = [p.shape[-1] for p in parts]
     offsets = np.cumsum([0] + widths)
     def backward(g):

@@ -287,7 +287,7 @@ def nadam_step(named_params, state):
             raise NumericsError(f"NaN gradient for parameter {name!r}")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = optim.BETA1, optim.BETA2
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
     for name, tensor in named_params:
@@ -308,7 +308,7 @@ def nadam_step(named_params, state):
         np.multiply(b1, np.divide(m, bias1, out=s), out=s)
         np.divide(np.multiply(1.0 - b1, g, out=u), bias1, out=u)
         np.add(s, u, out=s)
-        np.add(np.sqrt(np.divide(v, bias2, out=u), out=u), state.eps, out=u)
+        np.add(np.sqrt(np.divide(v, bias2, out=u), out=u), optim.EPS, out=u)
         np.divide(s, u, out=s)
         tensor.data -= np.multiply(state.learning_rate, s, out=s)
     return state

@@ -429,6 +429,20 @@ class TestGridSearchCommand:
         assert text.startswith("winner -\n")
         assert text.count("status aborted") == 2
 
+    @pytest.mark.parametrize("line", ["grid_dropouts = 0.5,1.5", "grid_filters = 0",
+                                      "grid_filters = 100,-5"])
+    def test_bad_grid_value_is_a_config_error(self, corpora, tmp_path, capsys, line):
+        config = tmp_path / "grid.cfg"
+        config.write_text(line + "\n")
+        models, report = tmp_path / "grid-models", tmp_path / "grid.txt"
+        code = main(["gridsearch", "--config", str(config),
+                     "--train", corpora["train"], "--dev", corpora["dev"],
+                     "--model-out", str(models), "--report", str(report), "--epochs", "1"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and line.split()[0] in err
+        assert not models.exists() and not report.exists()
+
     def test_default_grid_is_the_paper_grid(self, corpora, monkeypatch):
         class Captured(Exception):
             pass

@@ -61,15 +61,20 @@ class TestNadamStep:
                 break
         assert abs(float(x.data)) < 1e-3
 
-    def test_beta1_zero_reduces_to_rmsprop_like_update(self):
+    def test_first_step_from_zero_moments_has_closed_form(self):
         y = Tensor(np.asarray(3.0), requires_grad=True)
-        state = NadamState(learning_rate=0.1, beta1=0.0)
+        state = NadamState(learning_rate=0.1)
         g = np.asarray(0.7)
         y.grad = g.copy()
         nadam_step([("y", y)], state)
-        v_hat = g * g  # (1-b2)*g^2 / (1-b2^1)
-        expected = 3.0 - 0.1 * g / (np.sqrt(v_hat) + state.eps)
+        m_hat = g  # (1-b1)*g / (1-b1^1); likewise v_hat = g^2
+        expected = 3.0 - 0.1 * (optim.BETA1 * m_hat + g) / (abs(g) + optim.EPS)
         np.testing.assert_allclose(float(y.data), float(expected), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("rate", [-0.01, np.nan, np.inf, -np.inf])
+    def test_negative_or_non_finite_learning_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="learning rate"):
+            NadamState(learning_rate=rate)
 
     def test_zero_learning_rate_never_changes_parameters(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
@@ -99,7 +104,7 @@ def reference_nadam_step(named_params, state):
     oracle for the scratch-array `nadam_step`."""
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = optim.BETA1, optim.BETA2
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
     for name, tensor in named_params:
@@ -112,7 +117,7 @@ def reference_nadam_step(named_params, state):
         v += (1.0 - b2) * g * g
         m_hat = m / bias1
         v_hat = v / bias2
-        update = (b1 * m_hat + (1.0 - b1) * g / bias1) / (np.sqrt(v_hat) + state.eps)
+        update = (b1 * m_hat + (1.0 - b1) * g / bias1) / (np.sqrt(v_hat) + optim.EPS)
         tensor.data -= state.learning_rate * update
     return state
 
@@ -247,9 +252,9 @@ class TestNadamReachedRows:
     row-sparse gradients."""
 
     @staticmethod
-    def sides(init: dict[str, np.ndarray], **hyper):
+    def sides(init: dict[str, np.ndarray], learning_rate: float):
         return [([(name, Tensor(data.copy(), requires_grad=True)) for name, data in init.items()],
-                 NadamState(**hyper)) for _ in range(2)]
+                 NadamState(learning_rate)) for _ in range(2)]
 
     @staticmethod
     def row_sparse(rng, shape, rows) -> np.ndarray:
@@ -326,25 +331,6 @@ class TestNadamReachedRows:
             assert "table" in state.reached and sum(sizes) == int(share * rows) * cols
         else:
             assert "table" not in state.reached and sizes == [rows * cols]
-
-    def test_moments_made_before_the_first_step_take_the_whole_array_path(self):
-        table = Tensor(np.ones((4, 2)), requires_grad=True)
-        state = NadamState(first={"table": np.full((4, 2), 0.5)}, second={"table": np.ones((4, 2))})
-        table.grad = np.zeros((4, 2))
-        nadam_step([("table", table)], state)
-        assert "table" not in state.reached and (table.data < 1.0).all()
-
-    @pytest.mark.parametrize("hyper", [dict(learning_rate=-0.01), dict(eps=0.0),
-                                       dict(beta1=-0.5), dict(beta2=1.0)])
-    def test_hyperparameters_that_move_zero_rows_take_the_whole_array_path(self, hyper):
-        rng = np.random.default_rng(13)
-        init = {"table": rng.normal(size=(8, 3))}
-        init["table"][4:] = -0.0
-        sides = self.sides(init, **hyper)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            for step in range(3):
-                self.step_both(sides, {"table": self.row_sparse(rng, (8, 3), [step])})
-        assert sides[0][1].reached == {}
 
     def test_nan_in_a_row_never_reached_aborts_with_nothing_written(self):
         rng = np.random.default_rng(14)
@@ -464,6 +450,16 @@ class TestTrain:
         assert build_vocab(split.documents, split.instances).n == 5
         with pytest.raises(ValueError, match=r"window k=40 is wider than the n=5 rows"):
             train(tiny_config(window=40, epochs=1), split, split)
+
+    @pytest.mark.parametrize("rate", [-0.01, np.nan, np.inf, -np.inf])
+    def test_negative_or_non_finite_learning_rate_is_a_value_error(self, monkeypatch, tmp_path,
+                                                                    rate):
+        steps = []
+        monkeypatch.setattr(optim, "nadam_step", lambda named, state: steps.append(state))
+        path = tmp_path / "m.model"
+        with pytest.raises(ValueError, match="learning rate"):
+            train(tiny_config(learning_rate=rate), synthetic_split(6), None, model_path=path)
+        assert steps == [] and not path.exists()
 
     def test_identical_seeds_identical_loss_sequences(self):
         split = synthetic_split(8)

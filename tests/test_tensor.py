@@ -447,6 +447,14 @@ class TestGradCheck:
 
         assert grad_check(f, [xs, wh], eps=1e-4) < 1e-6
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matmul_of_two_matrices(self, seed):
+        rng = Rng(seed)
+        a = t(rng.fill_uniform((4, 3), -1, 1), requires_grad=True)
+        w = t(rng.fill_uniform((3, 5), -1, 1), requires_grad=True)
+        mix = t(rng.fill_uniform((4, 5), -1, 1))
+        assert grad_check(lambda: sum_all(mul(matmul(a, w), mix)), [a, w], eps=1e-4) < 1e-6
+
 
 def c_broadcast(x, c):
     # Constant tensor shaped like x, for building constant-valued graphs.
